@@ -6,7 +6,9 @@
 // the knowledge-coupled core into independent connected components, each
 // solved as its own small dual (in parallel with --threads=N). This bench
 // measures the speedup across knowledge budgets, prints the per-component
-// size histogram, and verifies both paths return the same posterior.
+// size histogram, and verifies both return the same posterior. The
+// "monolithic" column is the undecomposed oracle (one dual over the whole
+// system, core::AnalyzeUndecomposed); the decomposed column is Analyze.
 //
 // Expected outcome: large speedups while the knowledge is sparse (few,
 // small coupled components) that shrink as the knowledge blankets the
@@ -82,11 +84,10 @@ int main(int argc, char** argv) {
     auto top = pme::knowledge::TopK(pipeline.rules, k / 2, k - k / 2);
 
     pme::core::AnalysisOptions mono, decomp;
-    mono.use_decomposition = false;
-    decomp.use_decomposition = true;
     decomp.solver_options.threads = scale.threads;
     auto a = pme::bench::Unwrap(
-        pme::core::AnalyzeWithRules(pipeline, top, mono), "monolithic");
+        pme::bench::AnalyzeRulesUndecomposed(pipeline, top, mono),
+        "monolithic");
     auto b = pme::bench::Unwrap(
         pme::core::AnalyzeWithRules(pipeline, top, decomp), "decomposed");
 

@@ -214,6 +214,19 @@ inline core::ExperimentPipeline BuildStandardPipeline(const BenchScale& scale,
   return std::move(pipeline).value();
 }
 
+/// The undecomposed oracle (core::AnalyzeUndecomposed) with a rule
+/// subset as the adversary's knowledge: the paper's Figure 7
+/// configuration, and the "no decomposition" column of the ablations.
+inline Result<core::Analysis> AnalyzeRulesUndecomposed(
+    const core::ExperimentPipeline& pipeline,
+    const std::vector<knowledge::AssociationRule>& rules,
+    const core::AnalysisOptions& options) {
+  knowledge::KnowledgeBase kb;
+  kb.AddRules(rules);
+  return core::AnalyzeUndecomposed(pipeline.bucketization.table, kb, options,
+                                   &pipeline.bucketization.qi_encoder);
+}
+
 /// Fails fast with the status message.
 template <typename T>
 T Unwrap(Result<T> result, const char* what) {

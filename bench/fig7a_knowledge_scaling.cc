@@ -3,7 +3,8 @@
 // grows (log-scale x axis), with the dataset fixed.
 //
 // Matching Section 7.2, the bucket-decomposition optimization of Section
-// 5.5 is NOT applied here: every run solves the whole table monolithically.
+// 5.5 is NOT applied here: every run solves the whole table in one dual
+// (the core::AnalyzeUndecomposed oracle).
 //
 // Expected shape (paper): both series grow slowly — roughly log-linear in
 // the number of knowledge constraints, with fluctuations from the changed
@@ -31,7 +32,6 @@ int main(int argc, char** argv) {
                            {"constraints", "seconds", "iterations"});
 
   pme::core::AnalysisOptions options;
-  options.use_decomposition = false;
   // Match the paper's measurement: pure LBFGS work, no structural
   // presolve (our presolve would otherwise solve high-K instances outright
   // and the figure would chart the presolver, not the solver), and the
@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     auto rules = pme::bench::SampleInformativeRules(pipeline.rules, n);
     if (rules.size() < n) break;  // rule supply exhausted
     auto analysis = pme::bench::Unwrap(
-        pme::core::AnalyzeWithRules(pipeline, rules, options), "analysis");
+        pme::bench::AnalyzeRulesUndecomposed(pipeline, rules, options),
+        "analysis");
     std::printf("%14zu %12.3f %12zu %14.2e\n",
                 analysis.num_background_constraints, analysis.solver.seconds,
                 analysis.solver.iterations, analysis.solver.max_violation);

@@ -3,8 +3,9 @@
 //
 // Shared sweep for Figures 7(b) and 7(c): vary the dataset size (number
 // of buckets, with 5 records per bucket) under fixed background-knowledge
-// budgets, and record the monolithic solve's running time and iteration
-// count. 7(b) plots seconds; 7(c) plots iterations.
+// budgets, and record the undecomposed solve's running time and iteration
+// count (Section 7.2: no optimization). 7(b) plots seconds; 7(c) plots
+// iterations.
 
 #ifndef PME_BENCH_FIG7BC_COMMON_H_
 #define PME_BENCH_FIG7BC_COMMON_H_
@@ -49,14 +50,13 @@ inline std::vector<Fig7Cell> RunFig7Grid(const Flags& flags, bool full,
     scale.seed = seed;
     auto pipeline = BuildStandardPipeline(scale, /*max_attrs=*/3);
     pme::core::AnalysisOptions options;
-    options.use_decomposition = false;  // Section 7.2: no optimization
     options.solver_options.presolve = false;  // measure the solver itself
     options.solver_options.tolerance = 1e-6;
     options.solver_options.max_iterations = 20000;
     for (size_t budget : *budget_axis) {
       auto rules = SampleInformativeRules(pipeline.rules, budget);
       auto analysis =
-          Unwrap(pme::core::AnalyzeWithRules(pipeline, rules, options),
+          Unwrap(AnalyzeRulesUndecomposed(pipeline, rules, options),
                  "analysis");
       Fig7Cell cell;
       cell.buckets = pipeline.bucketization.table.num_buckets();

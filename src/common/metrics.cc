@@ -167,19 +167,17 @@ double Histogram::Snapshot::Quantile(double q) const {
   const double rank = q * static_cast<double>(total);
   uint64_t seen = 0;
   for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
     seen += counts[i];
     if (static_cast<double>(seen) >= rank) {
-      if (i >= bounds.size()) return max;  // overflow bucket
-      const double hi = bounds[i];
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      // Linear interpolation inside the bucket.
-      const uint64_t in_bucket = counts[i];
-      const double into =
-          in_bucket == 0
-              ? 1.0
-              : (rank - static_cast<double>(seen - in_bucket)) /
-                    static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::min(std::max(into, 0.0), 1.0);
+      // Interpolate linearly inside the bucket, with its edges narrowed
+      // to the observed [min, max]: the estimate never leaves the range
+      // of the samples (a lone sample reads back exactly).
+      const double lo = std::max(i == 0 ? 0.0 : bounds[i - 1], min);
+      const double hi = std::min(i < bounds.size() ? bounds[i] : max, max);
+      const double into = (rank - static_cast<double>(seen - counts[i])) /
+                          static_cast<double>(counts[i]);
+      return std::min(std::max(lo + (hi - lo) * into, min), max);
     }
   }
   return max;

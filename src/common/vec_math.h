@@ -21,8 +21,8 @@ struct Span {
 
   Span() = default;
   Span(double* d, size_t n) : data(d), size(n) {}
-  /// Implicit from any contiguous double container (std::vector,
-  /// ScratchVector) so call sites stay terse across allocator types.
+  /// Implicit from any contiguous double container (std::vector) so
+  /// call sites stay terse.
   template <typename C,
             typename = std::enable_if_t<std::is_same_v<
                 decltype(std::declval<C&>().data()), double*>>>

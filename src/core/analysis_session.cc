@@ -1,15 +1,15 @@
 #include "core/analysis_session.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/trace.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/component_analysis.h"
 #include "constraints/system.h"
-#include "maxent/problem.h"
+#include "maxent/decomposed.h"
 
 namespace pme::core {
 
@@ -73,30 +73,9 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
   // routing. So the per-request system carries just that coupled slice
   // plus the knowledge rows — O(request), not O(table) — which leaves
   // the solution identical (and the per-block cache keys identical: the
-  // same rows route to the same blocks). Two cases still need the full
-  // row set: the monolithic paths (use_decomposition off, or one coupled
-  // component dominating past monolithic_fallback_fraction), which build
-  // one problem from the *whole* system.
-  size_t largest_coupled = 0;
-  for (const auto& comp : components.components()) {
-    if (comp.coupled) {
-      largest_coupled = std::max(largest_coupled, comp.num_variables);
-    }
-  }
-  const size_t total_vars = index.num_variables();
-  const bool wants_monolithic =
-      !run_options.use_decomposition ||
-      (total_vars > 0 &&
-       static_cast<double>(largest_coupled) >
-           run_options.solver_options.monolithic_fallback_fraction *
-               static_cast<double>(total_vars));
-
+  // same rows route to the same blocks).
   constraints::ConstraintSystem system(index.num_variables());
-  if (wants_monolithic) {
-    // Full system, matching Analyze's historical row order: invariant
-    // rows, then knowledge rows.
-    system.AddAll(artifact.invariants());
-  } else {
+  {
     const auto& invariants = artifact.invariants();
     const auto& row_bucket = artifact.invariant_row_bucket();
     for (size_t i = 0; i < invariants.size(); ++i) {
@@ -114,30 +93,22 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
 
   {
     trace::TraceSpan solve_span("solve", "session");
-    if (run_options.use_decomposition) {
-      run_options.solver_options.closed_form_prior =
-          &artifact.closed_form_prior();
-      run_options.solver_options.closed_form_prior_entropy =
-          artifact.closed_form_prior_entropy();
-      PME_ASSIGN_OR_RETURN(
-          analysis.solver,
-          maxent::SolveDecomposed(artifact.table(), index, system,
-                                  run_options.solver,
-                                  run_options.solver_options, &components));
-      // Per-block solve effort, aligned with the decomposition census's
-      // block numbering (component_outcomes are emitted in block-id order).
-      for (const auto& outcome : analysis.solver.component_outcomes) {
-        analysis.decomposition.coupled_component_iterations.push_back(
-            outcome.iterations);
-        analysis.decomposition.coupled_component_seconds.push_back(
-            outcome.seconds);
-      }
-    } else {
-      PME_ASSIGN_OR_RETURN(auto problem, maxent::BuildProblem(system));
-      PME_ASSIGN_OR_RETURN(
-          analysis.solver,
-          maxent::Solve(problem, run_options.solver,
-                        run_options.solver_options));
+    run_options.solver_options.closed_form_prior =
+        &artifact.closed_form_prior();
+    run_options.solver_options.closed_form_prior_entropy =
+        artifact.closed_form_prior_entropy();
+    PME_ASSIGN_OR_RETURN(
+        analysis.solver,
+        maxent::SolveDecomposed(artifact.table(), index, system,
+                                run_options.solver,
+                                run_options.solver_options, &components));
+    // Per-block solve effort, aligned with the decomposition census's
+    // block numbering (component_outcomes are emitted in block-id order).
+    for (const auto& outcome : analysis.solver.component_outcomes) {
+      analysis.decomposition.coupled_component_iterations.push_back(
+          outcome.iterations);
+      analysis.decomposition.coupled_component_seconds.push_back(
+          outcome.seconds);
     }
     solve_span.AddArg("iterations",
                       static_cast<double>(analysis.solver.iterations));
@@ -145,52 +116,44 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
                       static_cast<double>(analysis.decomposition.num_components));
   }
 
-  // Evaluation. On the reduced decomposed path the solve leaves every
-  // variable outside the knowledge-coupled buckets at the precomputed
-  // prior, so only the touched q rows of the posterior (and their per-q
-  // evaluation slices) can differ from the artifact's cached prior
-  // evaluation — recompute exactly those and re-aggregate. RecomputeRow
-  // and the aggregations replay the full rebuild's arithmetic, so both
-  // paths agree bit for bit. The monolithic paths may move any
-  // coordinate and evaluate from scratch.
+  // Evaluation. The solve leaves every variable outside the
+  // knowledge-coupled buckets at the precomputed prior, so only the
+  // touched q rows of the posterior (and their per-q evaluation slices)
+  // can differ from the artifact's cached prior evaluation — recompute
+  // exactly those and re-aggregate. RecomputeRow and the aggregations
+  // replay a full rebuild's arithmetic, so the result matches
+  // PosteriorTable::FromSolution + EstimationAccuracy +
+  // ComputePrivacyMetrics bit for bit.
   trace::TraceSpan evaluate_span("evaluate", "session");
-  if (run_options.use_decomposition && !wants_monolithic) {
-    analysis.posterior = artifact.prior_posterior();
-    PerQEvaluation eval = artifact.prior_evaluation();
-    const auto& bucket_var_begin = artifact.bucket_var_begin();
-    const auto& q_offsets = artifact.q_var_offsets();
-    const auto& q_vars = artifact.q_vars();
-    std::vector<uint8_t> touched(artifact.table().num_qi_values(), 0);
-    std::vector<uint32_t> touched_qs;
-    for (const auto& comp : components.components()) {
-      if (!comp.coupled) continue;
-      for (const uint32_t bucket : comp.buckets) {
-        for (uint32_t var = bucket_var_begin[bucket];
-             var < bucket_var_begin[bucket + 1]; ++var) {
-          const uint32_t q = index.TermOf(var).qi;
-          if (!touched[q]) {
-            touched[q] = 1;
-            touched_qs.push_back(q);
-          }
+  analysis.posterior = artifact.prior_posterior();
+  PerQEvaluation eval = artifact.prior_evaluation();
+  const auto& bucket_var_begin = artifact.bucket_var_begin();
+  const auto& q_offsets = artifact.q_var_offsets();
+  const auto& q_vars = artifact.q_vars();
+  std::vector<uint8_t> touched(artifact.table().num_qi_values(), 0);
+  std::vector<uint32_t> touched_qs;
+  for (const auto& comp : components.components()) {
+    if (!comp.coupled) continue;
+    for (const uint32_t bucket : comp.buckets) {
+      for (uint32_t var = bucket_var_begin[bucket];
+           var < bucket_var_begin[bucket + 1]; ++var) {
+        const uint32_t q = index.TermOf(var).qi;
+        if (!touched[q]) {
+          touched[q] = 1;
+          touched_qs.push_back(q);
         }
       }
     }
-    for (const uint32_t q : touched_qs) {
-      analysis.posterior.RecomputeRow(q, q_vars.data() + q_offsets[q],
-                                      q_offsets[q + 1] - q_offsets[q], index,
-                                      analysis.solver.p);
-      ReevaluateQ(artifact.ground_truth(), analysis.posterior, q, &eval);
-    }
-    analysis.estimation_accuracy =
-        AccuracyFromPerQ(artifact.ground_truth(), eval);
-    analysis.metrics = MetricsFromPerQ(analysis.posterior, eval);
-  } else {
-    analysis.posterior = PosteriorTable::FromSolution(artifact.table(), index,
-                                                      analysis.solver.p);
-    analysis.estimation_accuracy =
-        EstimationAccuracy(artifact.ground_truth(), analysis.posterior);
-    analysis.metrics = ComputePrivacyMetrics(analysis.posterior);
   }
+  for (const uint32_t q : touched_qs) {
+    analysis.posterior.RecomputeRow(q, q_vars.data() + q_offsets[q],
+                                    q_offsets[q + 1] - q_offsets[q], index,
+                                    analysis.solver.p);
+    ReevaluateQ(artifact.ground_truth(), analysis.posterior, q, &eval);
+  }
+  analysis.estimation_accuracy =
+      AccuracyFromPerQ(artifact.ground_truth(), eval);
+  analysis.metrics = MetricsFromPerQ(analysis.posterior, eval);
   return analysis;
 }
 

@@ -46,6 +46,20 @@ Result<Analysis> AnalyzeWithRules(
     const std::vector<knowledge::AssociationRule>& rules,
     const AnalysisOptions& options = {});
 
+/// The undecomposed oracle: one maximum-entropy solve over the whole
+/// constraint system — every invariant row of the table plus every
+/// compiled knowledge row — with no closed form, no blocks and no
+/// solution cache. Section 7.2 times exactly this configuration for the
+/// Figure 7 benches, and the parity suites hold the block-decomposed
+/// Analyze/AnalysisSession to it (Proposition 1: both give the same
+/// distribution). It composes public calls only and is not a production
+/// path: `decomposition` is left empty and `options.solver_options`
+/// reaches maxent::Solve unchanged. Arguments as for Analyze.
+Result<Analysis> AnalyzeUndecomposed(
+    const anonymize::BucketizedTable& table,
+    const knowledge::KnowledgeBase& kb, const AnalysisOptions& options = {},
+    const data::TupleEncoder* qi_encoder = nullptr);
+
 }  // namespace pme::core
 
 #endif  // PME_CORE_EXPERIMENT_H_

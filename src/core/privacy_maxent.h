@@ -21,9 +21,6 @@ namespace pme::core {
 struct AnalysisOptions {
   maxent::SolverKind solver = maxent::SolverKind::kLbfgs;
   maxent::SolverOptions solver_options;
-  /// Apply the Section 5.5 bucket decomposition (closed form for
-  /// knowledge-irrelevant buckets, iterative solve for the rest).
-  bool use_decomposition = true;
   constraints::InvariantOptions invariant_options;
 };
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace pme::linalg {
 
-template <typename TripletVec>
-Result<SparseMatrix> SparseMatrix::BuildCsr(size_t rows, size_t cols,
-                                            TripletVec& triplets) {
+Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
+                                                std::vector<Triplet> triplets) {
   for (const Triplet& t : triplets) {
     if (t.row >= rows || t.col >= cols) {
       return Status::InvalidArgument("triplet index out of bounds");
@@ -44,11 +44,6 @@ Result<SparseMatrix> SparseMatrix::BuildCsr(size_t rows, size_t cols,
   }
   m.row_offsets_[rows] = m.values_.size();
   return m;
-}
-
-Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
-                                                std::vector<Triplet> triplets) {
-  return BuildCsr(rows, cols, triplets);
 }
 
 SparseMatrix SparseMatrix::FromDense(
@@ -212,9 +207,8 @@ Result<SparseMatrix> SparseMatrix::Submatrix(
   // Direct CSR construction: the source rows already carry unique column
   // indices, so the slice needs no triplet staging, no dedupe pass, and
   // no global sort — only a per-row ordering fix when the requested
-  // column permutation is non-monotonic. All scratch and the result's
-  // CSR arrays come from the ambient arena inside a block-solve scope.
-  ScratchVector<int64_t> col_map(cols_, -1);
+  // column permutation is non-monotonic.
+  std::vector<int64_t> col_map(cols_, -1);
   for (size_t j = 0; j < col_ids.size(); ++j) {
     if (col_ids[j] >= cols_) {
       return Status::InvalidArgument("submatrix column out of bounds");
@@ -301,20 +295,15 @@ Status SparseMatrixBuilder::AddRow(const std::vector<uint32_t>& cols,
   if (cols.size() != values.size()) {
     return Status::InvalidArgument("AddRow: parallel arrays differ in size");
   }
-  return AddRow(cols.data(), values.data(), cols.size());
-}
-
-Status SparseMatrixBuilder::AddRow(const uint32_t* cols, const double* values,
-                                   size_t n) {
   BeginRow();
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < cols.size(); ++i) {
     PME_RETURN_IF_ERROR(Add(cols[i], values[i]));
   }
   return Status::Ok();
 }
 
 Result<SparseMatrix> SparseMatrixBuilder::Build() {
-  return SparseMatrix::BuildCsr(open_rows_, cols_, triplets_);
+  return SparseMatrix::FromTriplets(open_rows_, cols_, std::move(triplets_));
 }
 
 }  // namespace pme::linalg

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "common/vec_math.h"
 
@@ -85,26 +84,16 @@ class SparseMatrix {
 
   /// CSR internals, exposed read-only for kernels that fuse operations
   /// (e.g. the dual objective computes exp(A^T lambda) in one pass).
-  const ScratchVector<size_t>& row_offsets() const { return row_offsets_; }
-  const ScratchVector<uint32_t>& col_indices() const { return col_indices_; }
-  const ScratchVector<double>& values() const { return values_; }
+  const std::vector<size_t>& row_offsets() const { return row_offsets_; }
+  const std::vector<uint32_t>& col_indices() const { return col_indices_; }
+  const std::vector<double>& values() const { return values_; }
 
  private:
-  friend class SparseMatrixBuilder;
-
-  template <typename TripletVec>
-  static Result<SparseMatrix> BuildCsr(size_t rows, size_t cols,
-                                       TripletVec& triplets);
-
   size_t rows_ = 0;
   size_t cols_ = 0;
-  // Arena-aware storage: a matrix assembled inside an ArenaScope (the
-  // per-block Submatrix slices and presolve-reduced systems of
-  // SolveDecomposed) bump-allocates and must not outlive its scope; one
-  // built outside any scope is an ordinary heap matrix.
-  ScratchVector<size_t> row_offsets_;    // size rows_+1
-  ScratchVector<uint32_t> col_indices_;  // size nnz
-  ScratchVector<double> values_;         // size nnz
+  std::vector<size_t> row_offsets_;    // size rows_+1
+  std::vector<uint32_t> col_indices_;  // size nnz
+  std::vector<double> values_;         // size nnz
 };
 
 /// Incremental row-by-row CSR builder. Rows are appended in order; each
@@ -124,10 +113,6 @@ class SparseMatrixBuilder {
   Status AddRow(const std::vector<uint32_t>& cols,
                 const std::vector<double>& values);
 
-  /// Pointer flavor of AddRow, for callers whose scratch lives in
-  /// arena-backed containers.
-  Status AddRow(const uint32_t* cols, const double* values, size_t n);
-
   /// Number of rows begun so far.
   size_t rows() const { return open_rows_; }
 
@@ -139,9 +124,7 @@ class SparseMatrixBuilder {
   size_t open_rows_ = 0;
   size_t current_row_ = 0;
   bool row_open_ = false;
-  // Scratch: a builder used inside an ArenaScope (presolve's constraint
-  // rebuild) assembles without touching the heap.
-  ScratchVector<Triplet> triplets_;
+  std::vector<Triplet> triplets_;
 };
 
 }  // namespace pme::linalg

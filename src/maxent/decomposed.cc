@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -132,7 +131,6 @@ std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
 /// without threading result structs through the serve layer.
 struct SolveMetrics {
   metrics::Counter* runs;
-  metrics::Counter* monolithic_fallbacks;
   metrics::Counter* components_solved;
   metrics::Counter* components_degraded;
   metrics::Counter* components_failed;
@@ -145,8 +143,6 @@ SolveMetrics& GetSolveMetrics() {
     auto& registry = metrics::Registry::Global();
     SolveMetrics r;
     r.runs = &registry.GetCounter("solve.runs");
-    r.monolithic_fallbacks =
-        &registry.GetCounter("solve.monolithic_fallbacks");
     r.components_solved = &registry.GetCounter("solve.components_solved");
     r.components_degraded =
         &registry.GetCounter("solve.components_degraded");
@@ -182,36 +178,6 @@ Result<SolverResult> SolveDecomposed(
   }
   const ComponentAnalysis& analysis =
       precomputed ? *precomputed : *local_analysis;
-
-  // Monolithic fallback: when one coupled component dominates the
-  // variable space there is nothing to decompose — the closed form would
-  // cover almost nothing and the Submatrix slice would copy almost
-  // everything. Solving the original system directly skips that 10-40%
-  // overhead.
-  {
-    size_t largest_coupled = 0;
-    for (const auto& comp : analysis.components()) {
-      if (comp.coupled) {
-        largest_coupled = std::max(largest_coupled, comp.num_variables);
-      }
-    }
-    const size_t total = index.num_variables();
-    if (total > 0 &&
-        static_cast<double>(largest_coupled) >
-            options.monolithic_fallback_fraction * static_cast<double>(total)) {
-      PME_ASSIGN_OR_RETURN(MaxEntProblem whole, BuildProblem(system));
-      SolverResult mono;
-      if (options.fallback) {
-        PME_ASSIGN_OR_RETURN(mono, SolveWithFallback(whole, kind, options));
-      } else {
-        PME_ASSIGN_OR_RETURN(mono, Solve(whole, kind, options));
-      }
-      mono.used_monolithic_fallback = true;
-      GetSolveMetrics().monolithic_fallbacks->Add();
-      solve_span.AddArg("monolithic", 1.0);
-      return mono;
-    }
-  }
 
   SolverResult result;
   result.kind = kind;
@@ -384,12 +350,6 @@ Result<SolverResult> SolveDecomposed(
   const std::function<void(size_t)> block_task = [&](size_t i) {
         if (exact_hits[i] != nullptr) return;  // answered from the cache
         trace::TraceIdScope trace_scope(request_trace_id);
-        // One arena scope per block task: the Submatrix slices, presolve
-        // scratch and dual workspace below all bump-allocate from this
-        // worker's thread-local arena and are released wholesale here.
-        // The SolverResult stored into block_results escapes by design —
-        // its payload vectors use the plain heap allocator.
-        ArenaScope arena_scope;
         trace::TraceSpan block_span("solve_block", "solve");
         block_span.AddArg("block", static_cast<double>(i));
         Timer block_timer;

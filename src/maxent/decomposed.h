@@ -27,7 +27,9 @@ namespace pme::maxent {
 /// separates because components share no variables), but on
 /// Figure-7-style workloads where knowledge touches a small fraction of
 /// buckets this is the difference between one O(n) dual and many O(n_k)
-/// duals — seconds vs minutes.
+/// duals — seconds vs minutes. There is no separate whole-system path:
+/// when knowledge couples every bucket into one component, that
+/// component is simply one block.
 ///
 /// The returned SolverResult's `p` covers the full variable space;
 /// `iterations` sums the block solves and `seconds` is the wall time of

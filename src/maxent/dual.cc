@@ -16,10 +16,9 @@ double DualFunction::Evaluate(const std::vector<double>& lambda,
                               std::vector<double>* grad,
                               std::vector<double>* p) const {
   DualWorkspace ws;
+  if (p != nullptr) ws.p.swap(*p);  // reuse the caller's capacity
   const double value = EvaluateInto(lambda, grad, &ws);
-  // ws.p may be arena-backed inside a scope, so copy rather than swap —
-  // this convenience wrapper is off the hot path.
-  if (p != nullptr) p->assign(ws.p.begin(), ws.p.end());
+  if (p != nullptr) p->swap(ws.p);
   return value;
 }
 

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "common/arena.h"
 #include "linalg/sparse_matrix.h"
 
 namespace pme::maxent {
@@ -19,9 +18,7 @@ struct DualWorkspace {
   /// The primal iterate p(λ) = exp(Aᵀλ − 1), size n. Valid after each
   /// EvaluateInto; the exponent Aᵀλ is computed into this same buffer
   /// and overwritten in place, so no separate `t` scratch exists.
-  /// Arena-aware: a workspace created inside a block-solve ArenaScope
-  /// draws from the pool worker's arena and dies with the scope.
-  ScratchVector<double> p;
+  std::vector<double> p;
 };
 
 /// The Lagrange dual of the equality-constrained MaxEnt problem
@@ -44,8 +41,7 @@ struct DualWorkspace {
 class DualFunction {
  public:
   /// `a` (m×n) and the buffer behind `b` (size m) must outlive this
-  /// object. `b` is a view, so any contiguous double container works —
-  /// plain or arena-backed.
+  /// object.
   DualFunction(const linalg::SparseMatrix* a, kernels::ConstSpan b);
 
   /// Dual dimension m (number of constraints).

@@ -8,7 +8,6 @@
 
 #include <cmath>
 
-#include "common/arena.h"
 #include "common/math_util.h"
 #include "common/vec_math.h"
 #include "maxent/solvers_internal.h"
@@ -74,7 +73,7 @@ Result<DualOutcome> MinimizeGis(const DualFunction& dual,
 
   DualWorkspace ws;
   std::vector<double> grad(m);
-  ScratchVector<double> ratio(m);
+  std::vector<double> ratio(m);
   const kernels::ConstSpan b = dual.rhs();
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     out.dual_value = dual.EvaluateInto(out.lambda, &grad, &ws);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace pme::maxent {
 
@@ -11,9 +13,9 @@ Result<MaxEntProblem> BuildProblem(
   MaxEntProblem p;
   p.num_vars = system.num_variables();
   p.eq = std::move(matrices.eq);
-  p.eq_rhs.assign(matrices.eq_rhs.begin(), matrices.eq_rhs.end());
+  p.eq_rhs = std::move(matrices.eq_rhs);
   p.ineq = std::move(matrices.ineq);
-  p.ineq_rhs.assign(matrices.ineq_rhs.begin(), matrices.ineq_rhs.end());
+  p.ineq_rhs = std::move(matrices.ineq_rhs);
   return p;
 }
 
@@ -30,18 +32,16 @@ std::vector<double> PresolvedProblem::Restore(
 namespace {
 
 struct WorkRow {
-  // Presolve scratch: inside a block-solve ArenaScope these arrays come
-  // from the pool worker's arena.
-  ScratchVector<uint32_t> vars;
-  ScratchVector<double> coefs;
+  std::vector<uint32_t> vars;
+  std::vector<double> coefs;
   double rhs = 0.0;
   bool is_eq = true;
   bool active = true;
 };
 
-ScratchVector<WorkRow> ExtractRows(const linalg::SparseMatrix& m,
+std::vector<WorkRow> ExtractRows(const linalg::SparseMatrix& m,
                                    kernels::ConstSpan rhs, bool is_eq) {
-  ScratchVector<WorkRow> rows(m.rows());
+  std::vector<WorkRow> rows(m.rows());
   const auto& offsets = m.row_offsets();
   const auto& cols = m.col_indices();
   const auto& values = m.values();
@@ -60,15 +60,15 @@ ScratchVector<WorkRow> ExtractRows(const linalg::SparseMatrix& m,
 }  // namespace
 
 Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
-  ScratchVector<WorkRow> rows = ExtractRows(problem.eq, problem.eq_rhs, true);
+  std::vector<WorkRow> rows = ExtractRows(problem.eq, problem.eq_rhs, true);
   {
     auto ineq_rows = ExtractRows(problem.ineq, problem.ineq_rhs, false);
     rows.insert(rows.end(), std::make_move_iterator(ineq_rows.begin()),
                 std::make_move_iterator(ineq_rows.end()));
   }
 
-  ScratchVector<char> is_fixed(problem.num_vars, 0);
-  ScratchVector<double> fixed_value(problem.num_vars, 0.0);
+  std::vector<char> is_fixed(problem.num_vars, 0);
+  std::vector<double> fixed_value(problem.num_vars, 0.0);
 
   auto fix = [&](uint32_t var, double value) {
     is_fixed[var] = 1;
@@ -150,7 +150,7 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   // Renumber surviving variables.
   PresolvedProblem out;
   out.var_map.assign(problem.num_vars, -1);
-  out.fixed_values.assign(fixed_value.begin(), fixed_value.end());
+  out.fixed_values = std::move(fixed_value);
   size_t next = 0;
   for (size_t v = 0; v < problem.num_vars; ++v) {
     if (is_fixed[v]) {
@@ -170,20 +170,18 @@ Result<PresolvedProblem> Presolve(const MaxEntProblem& problem, double tol) {
   for (size_t r = 0; r < rows.size(); ++r) {
     const WorkRow& row = rows[r];
     if (!row.active) continue;
-    ScratchVector<uint32_t> vars(row.vars.size());
+    std::vector<uint32_t> vars(row.vars.size());
     for (size_t i = 0; i < row.vars.size(); ++i) {
       vars[i] = static_cast<uint32_t>(out.var_map[row.vars[i]]);
     }
     if (row.is_eq) {
       out.eq_row_map[r] = static_cast<int64_t>(out.reduced.eq_rhs.size());
-      PME_RETURN_IF_ERROR(
-          eq_builder.AddRow(vars.data(), row.coefs.data(), vars.size()));
+      PME_RETURN_IF_ERROR(eq_builder.AddRow(vars, row.coefs));
       out.reduced.eq_rhs.push_back(row.rhs);
     } else {
       out.ineq_row_map[r - problem.eq.rows()] =
           static_cast<int64_t>(out.reduced.ineq_rhs.size());
-      PME_RETURN_IF_ERROR(
-          ineq_builder.AddRow(vars.data(), row.coefs.data(), vars.size()));
+      PME_RETURN_IF_ERROR(ineq_builder.AddRow(vars, row.coefs));
       out.reduced.ineq_rhs.push_back(row.rhs);
     }
   }

@@ -66,6 +66,15 @@ const char* CacheModeToString(CacheMode mode) {
   return "unknown";
 }
 
+Result<CacheMode> ParseCacheMode(const std::string& name) {
+  for (CacheMode mode :
+       {CacheMode::kOff, CacheMode::kExact, CacheMode::kWarm}) {
+    if (name == CacheModeToString(mode)) return mode;
+  }
+  return Status::InvalidArgument(
+      "cache must be 'off', 'exact' or 'warm', got '" + name + "'");
+}
+
 const char* SolverKindToString(SolverKind kind) {
   switch (kind) {
     case SolverKind::kLbfgs:
@@ -82,6 +91,15 @@ const char* SolverKindToString(SolverKind kind) {
       return "projected";
   }
   return "unknown";
+}
+
+Result<SolverKind> ParseSolverKind(const std::string& name) {
+  for (SolverKind kind :
+       {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
+        SolverKind::kSteepest, SolverKind::kNewton, SolverKind::kProjected}) {
+    if (name == SolverKindToString(kind)) return kind;
+  }
+  return Status::InvalidArgument("unknown solver: " + name);
 }
 
 Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
@@ -155,7 +173,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     if (reduced.has_inequalities()) {
       PME_ASSIGN_OR_RETURN(auto stacked,
                            StackMatrices(reduced.eq, reduced.ineq));
-      ScratchVector<double> rhs = reduced.eq_rhs;
+      std::vector<double> rhs = reduced.eq_rhs;
       rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
       DualFunction dual(&stacked, rhs);
       PME_ASSIGN_OR_RETURN(

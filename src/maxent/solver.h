@@ -37,6 +37,11 @@ enum class SolverKind : int {
 
 const char* SolverKindToString(SolverKind kind);
 
+/// Inverse of SolverKindToString ("lbfgs", "gis", ...): the one parser
+/// behind the CLI flags and the serve protocol. kInvalidArgument for an
+/// unknown name.
+Result<SolverKind> ParseSolverKind(const std::string& name);
+
 class SolutionCache;  // maxent/solution_cache.h
 
 /// What SolveDecomposed may reuse from a SolutionCache:
@@ -54,6 +59,10 @@ enum class CacheMode : int {
 };
 
 const char* CacheModeToString(CacheMode mode);
+
+/// Inverse of CacheModeToString ("off", "exact", "warm").
+/// kInvalidArgument for an unknown name.
+Result<CacheMode> ParseCacheMode(const std::string& name);
 
 /// How a component's answer relates to the solution cache this solve.
 enum class CacheOutcome : int {
@@ -107,13 +116,6 @@ struct SolverOptions {
   /// threads. Not owned; must outlive the solve. `threads` is ignored
   /// for scheduling when set.
   ThreadPool* pool = nullptr;
-  /// SolveDecomposed falls back to the monolithic Solve when the largest
-  /// knowledge-coupled component covers more than this fraction of all
-  /// variables: the decomposition would pay the full-matrix build plus a
-  /// near-full Submatrix copy (measured 10-40% overhead in the K >= 256
-  /// ablation) for no block-level parallelism. Set above 1.0 to always
-  /// decompose.
-  double monolithic_fallback_fraction = 0.8;
   /// Wall-clock budget for the solve, checked once per outer iteration
   /// by every minimizer. On expiry the solve stops and returns the best
   /// iterate reached so far with termination == kDeadlineExceeded —
@@ -158,9 +160,8 @@ struct SolverOptions {
       std::numeric_limits<double>::quiet_NaN();
   /// Component-solution cache consulted by SolveDecomposed (see
   /// maxent/solution_cache.h). Not owned; null disables caching
-  /// regardless of `cache_mode`. The monolithic path (Solve, or the
-  /// monolithic fallback) never consults the cache — there is no
-  /// component granularity to key on.
+  /// regardless of `cache_mode`. The monolithic Solve never consults
+  /// the cache — there is no component granularity to key on.
   SolutionCache* solution_cache = nullptr;
   /// What to reuse from `solution_cache` (off | exact | warm).
   CacheMode cache_mode = CacheMode::kWarm;
@@ -242,8 +243,9 @@ struct SolverResult {
   bool converged = false;
   /// Variables eliminated by presolve.
   size_t presolve_fixed = 0;
-  /// True when SolveDecomposed routed this problem to the monolithic
-  /// Solve because one coupled component dominated the variable space.
+  /// Always false: SolveDecomposed has no whole-system fallback (a
+  /// component covering every coupled bucket is solved as one block).
+  /// Kept only so existing readers of the field still compile.
   bool used_monolithic_fallback = false;
   /// Which solver produced this result.
   SolverKind kind = SolverKind::kLbfgs;

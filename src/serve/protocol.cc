@@ -8,26 +8,6 @@
 
 namespace pme::serve {
 
-Result<maxent::SolverKind> ParseSolverKind(const std::string& name) {
-  using maxent::SolverKind;
-  if (name == "lbfgs") return SolverKind::kLbfgs;
-  if (name == "gis") return SolverKind::kGis;
-  if (name == "iis") return SolverKind::kIis;
-  if (name == "steepest") return SolverKind::kSteepest;
-  if (name == "newton") return SolverKind::kNewton;
-  if (name == "projected") return SolverKind::kProjected;
-  return Status::InvalidArgument("unknown solver: " + name);
-}
-
-Result<maxent::CacheMode> ParseCacheModeName(const std::string& name) {
-  using maxent::CacheMode;
-  if (name == "off") return CacheMode::kOff;
-  if (name == "exact") return CacheMode::kExact;
-  if (name == "warm") return CacheMode::kWarm;
-  return Status::InvalidArgument(
-      "cache must be 'off', 'exact' or 'warm', got '" + name + "'");
-}
-
 std::string TerminationToString(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -84,7 +64,8 @@ Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line) {
     if (!sv->is_string()) {
       return Status::InvalidArgument("'solver' must be a string");
     }
-    PME_ASSIGN_OR_RETURN(request.solver, ParseSolverKind(sv->string_value));
+    PME_ASSIGN_OR_RETURN(request.solver,
+                         maxent::ParseSolverKind(sv->string_value));
     request.has_solver = true;
   }
   if (const JsonValue* cm = doc.Find("cache"); cm != nullptr) {
@@ -92,7 +73,7 @@ Result<AnalyzeRequest> ParseAnalyzeRequest(std::string_view line) {
       return Status::InvalidArgument("'cache' must be a string");
     }
     PME_ASSIGN_OR_RETURN(request.cache,
-                         ParseCacheModeName(cm->string_value));
+                         maxent::ParseCacheMode(cm->string_value));
     request.has_cache = true;
   }
   if (const JsonValue* vb = doc.Find("verb"); vb != nullptr) {

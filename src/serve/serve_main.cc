@@ -16,6 +16,7 @@
 #include "common/trace.h"
 #include "data/adult_synth.h"
 #include "data/csv.h"
+#include "maxent/solver.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 
@@ -82,10 +83,11 @@ int ServeMain(const Flags& flags) {
   options.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 0));
   options.cache_mb = static_cast<size_t>(flags.GetInt("cache-mb", 64));
-  auto solver = ParseSolverKind(flags.GetString("solver", "lbfgs"));
+  auto solver = maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
   if (!solver.ok()) return Fail(solver.status());
   options.analysis.solver = solver.value();
-  auto cache_mode = ParseCacheModeName(flags.GetString("cache", "warm"));
+  auto cache_mode =
+      maxent::ParseCacheMode(flags.GetString("cache", "warm"));
   if (!cache_mode.ok()) return Fail(cache_mode.status());
   options.analysis.solver_options.cache_mode = cache_mode.value();
   if (cache_mode.value() == maxent::CacheMode::kOff) options.cache_mb = 0;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "core/experiment.h"
 #include "core/posterior.h"
 #include "core/privacy_maxent.h"
 #include "knowledge/knowledge_base.h"
@@ -122,11 +123,8 @@ TEST(AnalyzeTest, DecompositionMatchesMonolithicSolve) {
   auto t = pme::testing::MakeFigure1Table();
   knowledge::KnowledgeBase kb;
   kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
-  AnalysisOptions with, without;
-  with.use_decomposition = true;
-  without.use_decomposition = false;
-  auto a = Analyze(t, kb, with).ValueOrDie();
-  auto b = Analyze(t, kb, without).ValueOrDie();
+  auto a = Analyze(t, kb).ValueOrDie();
+  auto b = AnalyzeUndecomposed(t, kb).ValueOrDie();
   for (uint32_t q = 0; q < t.num_qi_values(); ++q) {
     for (uint32_t s = 0; s < t.num_sa_values(); ++s) {
       EXPECT_NEAR(a.posterior.Conditional(q, s),

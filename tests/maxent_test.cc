@@ -344,6 +344,30 @@ INSTANTIATE_TEST_SUITE_P(
       return SolverKindToString(info.param);
     });
 
+// ------------------------------------------------------- Enum spellings
+
+TEST(EnumNamesTest, EveryNameRoundTripsAndUnknownNamesAreRejected) {
+  for (const SolverKind kind :
+       {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
+        SolverKind::kSteepest, SolverKind::kNewton, SolverKind::kProjected}) {
+    auto parsed = ParseSolverKind(SolverKindToString(kind));
+    ASSERT_TRUE(parsed.ok()) << SolverKindToString(kind);
+    EXPECT_EQ(parsed.value(), kind);
+  }
+  for (const CacheMode mode :
+       {CacheMode::kOff, CacheMode::kExact, CacheMode::kWarm}) {
+    auto parsed = ParseCacheMode(CacheModeToString(mode));
+    ASSERT_TRUE(parsed.ok()) << CacheModeToString(mode);
+    EXPECT_EQ(parsed.value(), mode);
+  }
+  EXPECT_EQ(ParseSolverKind("bfgs").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseSolverKind("unknown").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseCacheMode("on").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------- Consistency (Thm. 5)
 
 TEST(ConsistencyTest, NoKnowledgeMatchesClosedForm) {

@@ -175,6 +175,47 @@ TEST(MetricsHistogramTest, QuantileInterpolatesInsideBucket) {
   EXPECT_DOUBLE_EQ(empty.TakeSnapshot().Quantile(0.5), 0.0);
 }
 
+/// Every quantile estimate of `snap` lies in the observed [min, max],
+/// q = 0 reads the minimum and q = 1 the maximum.
+void ExpectQuantilesWithinRange(const Histogram::Snapshot& snap) {
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    EXPECT_GE(snap.Quantile(q), snap.min);
+    EXPECT_LE(snap.Quantile(q), snap.max);
+  }
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), snap.min);
+  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), snap.max);
+}
+
+TEST(MetricsHistogramTest, QuantileOfSingleSampleIsThatSample) {
+  Histogram& hist =
+      Registry::Global().GetHistogram("test.quantile_single", SmallOptions());
+  hist.Observe(2.5);  // bucket [2,4): interpolation alone would read 3
+  const Histogram::Snapshot snap = hist.TakeSnapshot();
+  ExpectQuantilesWithinRange(snap);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 2.5);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 2.5);
+}
+
+TEST(MetricsHistogramTest, QuantileInBucketZeroStaysAboveMin) {
+  Histogram& hist =
+      Registry::Global().GetHistogram("test.quantile_bucket0", SmallOptions());
+  // All in bucket 0 ([0,1)): interpolating from 0 would put p50 at 0.5,
+  // below every sample.
+  for (const double v : {0.6, 0.7, 0.9}) hist.Observe(v);
+  ExpectQuantilesWithinRange(hist.TakeSnapshot());
+}
+
+TEST(MetricsHistogramTest, QuantileInOverflowBucketStaysInRange) {
+  Histogram& hist = Registry::Global().GetHistogram("test.quantile_overflow",
+                                                    SmallOptions());
+  // All at or above the last bound (8): the overflow bucket.
+  for (const double v : {20.0, 30.0, 1000.0}) hist.Observe(v);
+  const Histogram::Snapshot snap = hist.TakeSnapshot();
+  ASSERT_EQ(snap.counts.back(), 3u);
+  ExpectQuantilesWithinRange(snap);
+}
+
 TEST(MetricsHistogramTest, SnapshotUnderConcurrentLoad) {
   Histogram& hist =
       Registry::Global().GetHistogram("test.under_load", SmallOptions());

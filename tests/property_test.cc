@@ -15,6 +15,7 @@
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "core/experiment.h"
 #include "core/posterior.h"
 #include "core/privacy_maxent.h"
 #include "maxent/closed_form.h"
@@ -184,8 +185,8 @@ TEST_P(TableProperty, FullTrueKnowledgeDrivesAccuracyToZero) {
 }
 
 TEST_P(TableProperty, DecompositionEquivalence) {
-  // Proposition 1: decomposed and monolithic solves agree, with any
-  // knowledge placement.
+  // Proposition 1: the decomposed analysis and the undecomposed oracle
+  // agree, with any knowledge placement.
   auto t = RandomTable(GetParam());
   Prng prng(std::get<4>(GetParam()) + 99);
   knowledge::KnowledgeBase kb;
@@ -195,11 +196,8 @@ TEST_P(TableProperty, DecompositionEquivalence) {
       static_cast<uint32_t>(prng.NextBounded(t.num_sa_values()));
   kb.Add(knowledge::AbstractConditional(q, {s}, t.TrueConditional(q, s)));
 
-  core::AnalysisOptions mono, decomp;
-  mono.use_decomposition = false;
-  decomp.use_decomposition = true;
-  auto a = core::Analyze(t, kb, mono).ValueOrDie();
-  auto b = core::Analyze(t, kb, decomp).ValueOrDie();
+  auto a = core::AnalyzeUndecomposed(t, kb).ValueOrDie();
+  auto b = core::Analyze(t, kb).ValueOrDie();
   for (uint32_t qq = 0; qq < t.num_qi_values(); ++qq) {
     for (uint32_t ss = 0; ss < t.num_sa_values(); ++ss) {
       EXPECT_NEAR(a.posterior.Conditional(qq, ss),

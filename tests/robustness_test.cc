@@ -483,30 +483,6 @@ TEST(StallGuardTest, PlateauExitsLongBeforeTheIterationBudget) {
   EXPECT_GE(lbfgs.iterations, 1u);
 }
 
-TEST(MonolithicFallbackTest, FractionRoutesBetweenWholeAndBlockSolves) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-
-  maxent::SolverOptions whole, blocks;
-  whole.monolithic_fallback_fraction = 0.0;   // any coupled block routes
-  blocks.monolithic_fallback_fraction = 2.0;  // never route
-  auto mono = maxent::SolveDecomposed(t, index, system,
-                                      maxent::SolverKind::kLbfgs, whole)
-                  .ValueOrDie();
-  auto block = maxent::SolveDecomposed(t, index, system,
-                                       maxent::SolverKind::kLbfgs, blocks)
-                   .ValueOrDie();
-  EXPECT_TRUE(mono.used_monolithic_fallback);
-  EXPECT_FALSE(block.used_monolithic_fallback);
-  EXPECT_TRUE(block.component_outcomes.size() >= 1u);
-  ASSERT_EQ(mono.p.size(), block.p.size());
-  for (size_t i = 0; i < mono.p.size(); ++i) {
-    EXPECT_NEAR(mono.p[i], block.p[i], 1e-6) << i;
-  }
-}
-
 // --------------------------------------------------- malformed-input corpus
 
 TEST(CsvCorpusTest, BadFieldCountReportsLineAndByteOffset) {

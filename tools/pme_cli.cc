@@ -26,7 +26,6 @@
 
 #include "anonymize/anatomy.h"
 #include "anonymize/bucketized_table.h"
-#include "common/arena.h"
 #include "common/deadline.h"
 #include "common/flags.h"
 #include "common/metrics.h"
@@ -42,6 +41,7 @@
 #include "knowledge/miner.h"
 #include "knowledge/parser.h"
 #include "maxent/solution_cache.h"
+#include "maxent/solver.h"
 #include "serve/serve_main.h"
 
 namespace {
@@ -55,8 +55,7 @@ void PrintUsage(std::FILE* out) {
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
                "           [--knowledge=FILE] [--solver=lbfgs|gis|iis|"
                "steepest|newton|projected]\n"
-               "           [--threads=N] [--simd=off|avx2|avx512|auto] "
-               "[--arena=on|off]\n"
+               "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N] [--fallback=on|off]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
                "[--repeat=N]\n"
@@ -163,17 +162,6 @@ int RunMine(const pme::Flags& flags) {
   return 0;
 }
 
-pme::Result<pme::maxent::SolverKind> ParseSolver(const std::string& name) {
-  using pme::maxent::SolverKind;
-  if (name == "lbfgs") return SolverKind::kLbfgs;
-  if (name == "gis") return SolverKind::kGis;
-  if (name == "iis") return SolverKind::kIis;
-  if (name == "steepest") return SolverKind::kSteepest;
-  if (name == "newton") return SolverKind::kNewton;
-  if (name == "projected") return SolverKind::kProjected;
-  return pme::Status::InvalidArgument("unknown solver: " + name);
-}
-
 int RunAnalyze(const pme::Flags& flags) {
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
@@ -206,7 +194,8 @@ int RunAnalyze(const pme::Flags& flags) {
   }
 
   pme::core::AnalysisOptions options;
-  auto solver = ParseSolver(flags.GetString("solver", "lbfgs"));
+  auto solver =
+      pme::maxent::ParseSolverKind(flags.GetString("solver", "lbfgs"));
   if (!solver.ok()) return Fail(solver.status());
   options.solver = solver.value();
   // Independent knowledge components are solved in parallel; 0 = all
@@ -219,14 +208,6 @@ int RunAnalyze(const pme::Flags& flags) {
   // down that ladder. Posteriors agree to ~1e-10 across all modes.
   pme::kernels::SetSimdMode(
       pme::kernels::ParseSimdMode(flags.GetString("simd", "auto")));
-  // Per-block scratch arena for the decomposed solve; off is the
-  // heap-allocation A/B control (PME_ARENA=off is the env equivalent).
-  const std::string arena_flag = flags.GetString("arena", "on");
-  if (arena_flag != "on" && arena_flag != "off") {
-    return Fail(pme::Status::InvalidArgument(
-        "--arena must be 'on' or 'off', got '" + arena_flag + "'"));
-  }
-  pme::Arena::SetEnabled(arena_flag == "on");
   // Wall-time budget for the whole solve. Components that run out of
   // their share degrade to cheaper solvers or the closed-form prior
   // rather than aborting the analysis (see --fallback).
@@ -248,24 +229,14 @@ int RunAnalyze(const pme::Flags& flags) {
   // --repeat, which re-runs the analysis against the same cache — the
   // measurement mode for incremental re-analysis (round 2+ should be
   // answered almost entirely from the cache).
-  const std::string cache_flag = flags.GetString("cache", "warm");
-  pme::maxent::CacheMode cache_mode;
-  if (cache_flag == "off") {
-    cache_mode = pme::maxent::CacheMode::kOff;
-  } else if (cache_flag == "exact") {
-    cache_mode = pme::maxent::CacheMode::kExact;
-  } else if (cache_flag == "warm") {
-    cache_mode = pme::maxent::CacheMode::kWarm;
-  } else {
-    return Fail(pme::Status::InvalidArgument(
-        "--cache must be 'off', 'exact' or 'warm', got '" + cache_flag +
-        "'"));
-  }
+  auto cache_mode =
+      pme::maxent::ParseCacheMode(flags.GetString("cache", "warm"));
+  if (!cache_mode.ok()) return Fail(cache_mode.status());
   const long long cache_mb = flags.GetInt("cache-mb", 64);
   pme::maxent::SolutionCache cache(
       static_cast<size_t>(cache_mb > 0 ? cache_mb : 1) << 20);
-  options.solver_options.cache_mode = cache_mode;
-  if (cache_mode != pme::maxent::CacheMode::kOff) {
+  options.solver_options.cache_mode = cache_mode.value();
+  if (cache_mode.value() != pme::maxent::CacheMode::kOff) {
     options.solver_options.solution_cache = &cache;
   }
 
