@@ -317,7 +317,7 @@ void BM_EvaluatePerQ(benchmark::State& state) {
   SimdModeGuard guard(ModeFromArg(state.range(1)));
   for (auto _ : state) {
     auto eval = pme::core::EvaluatePerQ(truth, estimate);
-    benchmark::DoNotOptimize(eval.kl.data());
+    benchmark::DoNotOptimize(eval.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(truth.num_qi()));

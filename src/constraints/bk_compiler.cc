@@ -1,6 +1,7 @@
 #include "constraints/bk_compiler.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 namespace pme::constraints {
@@ -30,7 +31,23 @@ Result<std::vector<uint32_t>> MatchQiInstances(
     positions[i] = static_cast<size_t>(it - enc_attrs.begin());
   }
   std::vector<uint32_t> matches;
-  for (uint32_t q = 0; q < qi_encoder.size(); ++q) {
+  if (positions.empty()) {
+    // No condition: every interned tuple matches.
+    matches.resize(qi_encoder.size());
+    std::iota(matches.begin(), matches.end(), 0u);
+    return matches;
+  }
+  // Walk the shortest posting list and check the other attributes on the
+  // decoded tuple: cost O(shortest list), not O(tuples).
+  size_t pivot = 0;
+  for (size_t i = 1; i < positions.size(); ++i) {
+    if (qi_encoder.Postings(positions[i], stmt.values[i]).size() <
+        qi_encoder.Postings(positions[pivot], stmt.values[pivot]).size()) {
+      pivot = i;
+    }
+  }
+  for (const uint32_t q :
+       qi_encoder.Postings(positions[pivot], stmt.values[pivot])) {
     const auto& tuple = qi_encoder.Decode(q);
     bool match = true;
     for (size_t i = 0; i < positions.size(); ++i) {
@@ -96,9 +113,9 @@ Result<CompiledKnowledge> CompileKnowledge(
     for (uint32_t q : qi_ids) {
       for (uint32_t b : table.BucketsWithQi(q)) {
         for (uint32_t s : sa_set) {
-          auto var = index.VariableId(q, s, b);
-          if (!var.ok()) continue;  // Zero-invariant: structurally zero
-          c.vars.push_back(var.value());
+          const auto var = index.FindVariable(q, s, b);
+          if (!var) continue;  // Zero-invariant: structurally zero
+          c.vars.push_back(*var);
           c.coefs.push_back(1.0);
         }
       }

@@ -38,51 +38,96 @@ class UnionFind {
 
 }  // namespace
 
+namespace {
+
+bool IsKnowledgeRow(const LinearConstraint& c) {
+  // Anything beyond the structural invariants (knowledge rows, but also
+  // ad-hoc kOther rows) invalidates the closed form for its component.
+  return c.source != ConstraintSource::kQiInvariant &&
+         c.source != ConstraintSource::kSaInvariant;
+}
+
+}  // namespace
+
+void ComponentAnalysis::NumberComponents(
+    const TermIndex& index, size_t num_roots,
+    const std::vector<uint8_t>& root_coupled) {
+  const size_t num_buckets = bucket_component_.size();
+  // Pass 1: ids by first appearance in bucket order; bucket_end counts
+  // the component's buckets for now.
+  std::vector<uint32_t> root_to_id(num_roots, UINT32_MAX);
+  components_.reserve(num_roots);
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    const uint32_t root = bucket_component_[b];
+    uint32_t id = root_to_id[root];
+    if (id == UINT32_MAX) {
+      id = static_cast<uint32_t>(components_.size());
+      root_to_id[root] = id;
+      components_.emplace_back();
+      components_.back().coupled = root_coupled[root] != 0;
+    }
+    bucket_component_[b] = id;
+    Component& comp = components_[id];
+    ++comp.bucket_end;
+    const auto [first, last] = index.BucketRange(b);
+    comp.num_variables += last - first;
+  }
+  // Pass 2: counts -> offsets, then place every bucket; bucket_end walks
+  // from bucket_begin back to its final value.
+  uint32_t offset = 0;
+  for (Component& comp : components_) {
+    comp.bucket_begin = offset;
+    offset += comp.bucket_end;
+    comp.bucket_end = comp.bucket_begin;
+  }
+  bucket_order_.resize(num_buckets);
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    bucket_order_[components_[bucket_component_[b]].bucket_end++] = b;
+  }
+  for (uint32_t k = 0; k < components_.size(); ++k) {
+    if (components_[k].coupled) coupled_.push_back(k);
+  }
+}
+
 ComponentAnalysis ComponentAnalysis::Build(const TermIndex& index,
-                                           const ConstraintSystem& system) {
+                                           const SystemView& rows) {
   const size_t num_buckets = index.num_buckets();
   UnionFind uf(num_buckets);
-  std::vector<bool> touched(num_buckets, false);  // by knowledge rows
+  std::vector<uint8_t> touched(num_buckets, 0);  // by knowledge rows
 
-  for (const auto& c : system.constraints()) {
-    // Anything beyond the structural invariants (knowledge rows, but also
-    // ad-hoc kOther rows) invalidates the closed form for its component.
-    const bool is_knowledge = c.source != ConstraintSource::kQiInvariant &&
-                              c.source != ConstraintSource::kSaInvariant;
+  const auto add = [&](const LinearConstraint& c) {
+    const bool is_knowledge = IsKnowledgeRow(c);
     int64_t first_bucket = -1;
     for (size_t i = 0; i < c.vars.size(); ++i) {
       if (c.coefs[i] == 0.0) continue;
       const uint32_t b = index.TermOf(c.vars[i]).bucket;
-      if (is_knowledge) touched[b] = true;
+      if (is_knowledge) touched[b] = 1;
       if (first_bucket < 0) {
         first_bucket = b;
       } else {
         uf.Union(static_cast<uint32_t>(first_bucket), b);
       }
     }
+  };
+  if (rows.bucket_rows != nullptr) {
+    for (uint32_t b = 0; b < num_buckets; ++b) {
+      const auto [first, last] = rows.BucketRowRange(b);
+      for (uint32_t r = first; r < last; ++r) add((*rows.bucket_rows)[r]);
+    }
+  }
+  if (rows.free_rows != nullptr) {
+    for (const auto& c : *rows.free_rows) add(c);
   }
 
   ComponentAnalysis out;
-  out.bucket_component_.assign(num_buckets, 0);
-  // Components numbered by first appearance in bucket order: deterministic.
-  std::vector<int64_t> root_to_id(num_buckets, -1);
+  out.bucket_component_.resize(num_buckets);
+  std::vector<uint8_t> root_coupled(num_buckets, 0);
   for (uint32_t b = 0; b < num_buckets; ++b) {
     const uint32_t root = uf.Find(b);
-    if (root_to_id[root] < 0) {
-      root_to_id[root] = static_cast<int64_t>(out.components_.size());
-      out.components_.emplace_back();
-    }
-    const auto id = static_cast<uint32_t>(root_to_id[root]);
-    out.bucket_component_[b] = id;
-    Component& comp = out.components_[id];
-    comp.buckets.push_back(b);
-    const auto [first, last] = index.BucketRange(b);
-    comp.num_variables += last - first;
-    comp.coupled = comp.coupled || touched[b];
+    out.bucket_component_[b] = root;
+    root_coupled[root] |= touched[b];
   }
-  for (const Component& comp : out.components_) {
-    if (comp.coupled) ++out.num_coupled_;
-  }
+  out.NumberComponents(index, num_buckets, root_coupled);
   return out;
 }
 
@@ -94,18 +139,15 @@ ComponentAnalysis ComponentAnalysis::Extend(
   // Union-find over *base components*: the base already merged every
   // bucket inside a component, so only component-level merges remain.
   UnionFind uf(num_base);
-  std::vector<bool> touched(num_base, false);
-  for (size_t k = 0; k < num_base; ++k) {
-    touched[k] = base.components()[k].coupled;
-  }
+  std::vector<uint8_t> touched(num_base, 0);
+  for (const uint32_t k : base.coupled_components()) touched[k] = 1;
   for (const auto& c : extra) {
-    const bool is_knowledge = c.source != ConstraintSource::kQiInvariant &&
-                              c.source != ConstraintSource::kSaInvariant;
+    const bool is_knowledge = IsKnowledgeRow(c);
     int64_t first_comp = -1;
     for (size_t i = 0; i < c.vars.size(); ++i) {
       if (c.coefs[i] == 0.0) continue;
       const uint32_t k = base.ComponentOf(index.TermOf(c.vars[i]).bucket);
-      if (is_knowledge) touched[k] = true;
+      if (is_knowledge) touched[k] = 1;
       if (first_comp < 0) {
         first_comp = k;
       } else {
@@ -114,29 +156,19 @@ ComponentAnalysis ComponentAnalysis::Extend(
     }
   }
 
+  // Renumbered by first appearance in bucket order — identical to
+  // Build's numbering because a merged component's smallest bucket
+  // decides both.
   ComponentAnalysis out;
-  out.bucket_component_.assign(num_buckets, 0);
-  // Renumber by first appearance in bucket order — identical to Build's
-  // numbering because a merged component's smallest bucket decides both.
-  std::vector<int64_t> root_to_id(num_base, -1);
+  out.bucket_component_.resize(num_buckets);
+  std::vector<uint8_t> root_coupled(num_base, 0);
+  for (uint32_t k = 0; k < num_base; ++k) {
+    root_coupled[uf.Find(k)] |= touched[k];
+  }
   for (uint32_t b = 0; b < num_buckets; ++b) {
-    const uint32_t base_comp = base.ComponentOf(b);
-    const uint32_t root = uf.Find(base_comp);
-    if (root_to_id[root] < 0) {
-      root_to_id[root] = static_cast<int64_t>(out.components_.size());
-      out.components_.emplace_back();
-    }
-    const auto id = static_cast<uint32_t>(root_to_id[root]);
-    out.bucket_component_[b] = id;
-    Component& comp = out.components_[id];
-    comp.buckets.push_back(b);
-    const auto [first, last] = index.BucketRange(b);
-    comp.num_variables += last - first;
-    comp.coupled = comp.coupled || touched[base_comp];
+    out.bucket_component_[b] = uf.Find(base.ComponentOf(b));
   }
-  for (const Component& comp : out.components_) {
-    if (comp.coupled) ++out.num_coupled_;
-  }
+  out.NumberComponents(index, num_base, root_coupled);
   return out;
 }
 
@@ -174,69 +206,33 @@ Hash128 ConstraintRowSignature(const LinearConstraint& constraint) {
   return h.Finish();
 }
 
-ComponentSignatures ComputeComponentSignatures(
-    const TermIndex& index, const ConstraintSystem& system,
-    const ComponentAnalysis& analysis) {
-  // Dense coupled-block numbering, mirroring SolveDecomposed.
-  std::vector<int64_t> block_of_component(analysis.num_components(), -1);
-  size_t num_blocks = 0;
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    if (analysis.components()[k].coupled) {
-      block_of_component[k] = static_cast<int64_t>(num_blocks++);
-    }
+Hash128 ComponentVarsSignature(const TermIndex& index,
+                               const ComponentAnalysis& analysis, size_t k) {
+  const ComponentAnalysis::BucketSpan buckets = analysis.Buckets(k);
+  Hasher128 h;
+  h.Update(std::string_view("pme.vars.v1"));
+  h.Update(static_cast<uint64_t>(index.num_variables()));
+  h.Update(static_cast<uint64_t>(index.num_buckets()));
+  h.Update(static_cast<uint64_t>(buckets.size()));
+  for (const uint32_t b : buckets) {
+    const auto [first, last] = index.BucketRange(b);
+    h.Update(b);
+    h.Update(static_cast<uint64_t>(last - first));
   }
+  return h.Finish();
+}
 
-  ComponentSignatures out;
-  out.rows_hash.resize(num_blocks);
-  out.vars_hash.resize(num_blocks);
-
-  // Variable-structure digest per block: index-shape guard + the
-  // component's buckets with their materialized variable counts.
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    const int64_t block = block_of_component[k];
-    if (block < 0) continue;
-    const auto& comp = analysis.components()[k];
-    Hasher128 h;
-    h.Update(std::string_view("pme.vars.v1"));
-    h.Update(static_cast<uint64_t>(index.num_variables()));
-    h.Update(static_cast<uint64_t>(index.num_buckets()));
-    h.Update(static_cast<uint64_t>(comp.buckets.size()));
-    for (uint32_t b : comp.buckets) {
-      const auto [first, last] = index.BucketRange(b);
-      h.Update(b);
-      h.Update(static_cast<uint64_t>(last - first));
-    }
-    out.vars_hash[static_cast<size_t>(block)] = h.Finish();
-  }
-
-  // Route every constraint row to its block (same rule as the solver:
-  // the first supported variable decides) and collect row signatures.
-  std::vector<std::vector<Hash128>> row_sigs(num_blocks);
-  for (const auto& c : system.constraints()) {
-    int64_t block = -1;
-    for (size_t i = 0; i < c.vars.size(); ++i) {
-      if (c.coefs[i] == 0.0) continue;
-      block = block_of_component[analysis.ComponentOf(
-          index.TermOf(c.vars[i]).bucket)];
-      break;
-    }
-    if (block < 0) continue;  // empty support or uncoupled component
-    row_sigs[static_cast<size_t>(block)].push_back(ConstraintRowSignature(c));
-  }
-
-  // Exact digest: the structure digest plus the sorted multiset of row
-  // signatures (sorted so the digest is independent of row order, which
-  // the solution is too).
-  for (size_t blk = 0; blk < num_blocks; ++blk) {
-    std::sort(row_sigs[blk].begin(), row_sigs[blk].end());
-    Hasher128 h;
-    h.Update(std::string_view("pme.rows.v1"));
-    h.Update(out.vars_hash[blk]);
-    h.Update(static_cast<uint64_t>(row_sigs[blk].size()));
-    for (const Hash128& sig : row_sigs[blk]) h.Update(sig);
-    out.rows_hash[blk] = h.Finish();
-  }
-  return out;
+Hash128 ComponentRowsSignature(const Hash128& vars_signature,
+                               std::vector<Hash128> row_signatures) {
+  // Sorted, so the digest is independent of row order (as the solution
+  // is).
+  std::sort(row_signatures.begin(), row_signatures.end());
+  Hasher128 h;
+  h.Update(std::string_view("pme.rows.v1"));
+  h.Update(vars_signature);
+  h.Update(static_cast<uint64_t>(row_signatures.size()));
+  for (const Hash128& sig : row_signatures) h.Update(sig);
+  return h.Finish();
 }
 
 }  // namespace pme::constraints

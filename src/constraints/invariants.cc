@@ -6,8 +6,10 @@ namespace pme::constraints {
 
 std::vector<LinearConstraint> GenerateInvariants(
     const anonymize::BucketizedTable& table, const TermIndex& index,
-    const InvariantOptions& options) {
+    const InvariantOptions& options,
+    std::vector<uint32_t>* bucket_row_offsets) {
   std::vector<LinearConstraint> out;
+  if (bucket_row_offsets != nullptr) bucket_row_offsets->assign(1, 0);
   for (uint32_t b = 0; b < table.num_buckets(); ++b) {
     const auto& qis = index.BucketQiList(b);
     const auto& sas = index.BucketSaList(b);
@@ -49,6 +51,9 @@ std::vector<LinearConstraint> GenerateInvariants(
         c.vars.push_back(first + qi_rank * h + sa_rank);
       }
       out.push_back(std::move(c));
+    }
+    if (bucket_row_offsets != nullptr) {
+      bucket_row_offsets->push_back(static_cast<uint32_t>(out.size()));
     }
   }
   return out;

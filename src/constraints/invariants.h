@@ -27,9 +27,14 @@ struct InvariantOptions {
 /// bucket: QI-invariant equations (Eq. 4) and SA-invariant equations
 /// (Eq. 5). Zero-invariant equations (Eq. 6) are structural — the
 /// TermIndex never materializes those terms — so none are emitted.
+///
+/// Rows are emitted bucket by bucket and never leave their bucket. When
+/// `bucket_row_offsets` is non-null it receives num_buckets + 1 offsets:
+/// the rows of bucket b are [offsets[b], offsets[b + 1]).
 std::vector<LinearConstraint> GenerateInvariants(
     const anonymize::BucketizedTable& table, const TermIndex& index,
-    const InvariantOptions& options = {});
+    const InvariantOptions& options = {},
+    std::vector<uint32_t>* bucket_row_offsets = nullptr);
 
 /// The invariant ("constraint") matrix of one bucket, as in Figure 3 of
 /// the paper: one row per QI-/SA-invariant of bucket `b`, one column per

@@ -51,29 +51,36 @@ TermIndex TermIndex::Build(const anonymize::BucketizedTable& table,
   return index;
 }
 
-Result<uint32_t> TermIndex::VariableId(uint32_t q, uint32_t s,
-                                       uint32_t b) const {
-  if (b >= bucket_qi_.size()) {
-    return Status::InvalidArgument("bucket index out of range");
-  }
+std::optional<uint32_t> TermIndex::FindVariable(uint32_t q, uint32_t s,
+                                                uint32_t b) const {
+  if (b >= bucket_qi_.size()) return std::nullopt;
   const auto& qis = bucket_qi_[b];
   const auto& sas = bucket_sa_[b];
   auto qit = std::lower_bound(qis.begin(), qis.end(), q);
-  if (qit == qis.end() || *qit != q) {
-    return Status::NotFound("P(q,s,b) is a Zero-invariant: q not in bucket");
-  }
+  if (qit == qis.end() || *qit != q) return std::nullopt;
   auto sit = std::lower_bound(sas.begin(), sas.end(), s);
-  if (sit == sas.end() || *sit != s) {
-    return Status::NotFound("P(q,s,b) is a Zero-invariant: s not in bucket");
-  }
+  if (sit == sas.end() || *sit != s) return std::nullopt;
   const size_t qi_rank = static_cast<size_t>(qit - qis.begin());
   const size_t sa_rank = static_cast<size_t>(sit - sas.begin());
   return bucket_offsets_[b] +
          static_cast<uint32_t>(qi_rank * sas.size() + sa_rank);
 }
 
+Result<uint32_t> TermIndex::VariableId(uint32_t q, uint32_t s,
+                                       uint32_t b) const {
+  if (b >= bucket_qi_.size()) {
+    return Status::InvalidArgument("bucket index out of range");
+  }
+  if (const auto var = FindVariable(q, s, b)) return *var;
+  const auto& qis = bucket_qi_[b];
+  if (!std::binary_search(qis.begin(), qis.end(), q)) {
+    return Status::NotFound("P(q,s,b) is a Zero-invariant: q not in bucket");
+  }
+  return Status::NotFound("P(q,s,b) is a Zero-invariant: s not in bucket");
+}
+
 bool TermIndex::IsZeroInvariant(uint32_t q, uint32_t s, uint32_t b) const {
-  return !VariableId(q, s, b).ok();
+  return !FindVariable(q, s, b).has_value();
 }
 
 std::string TermIndex::TermName(

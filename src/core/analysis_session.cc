@@ -1,5 +1,6 @@
 #include "core/analysis_session.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "constraints/bk_compiler.h"
 #include "constraints/component_analysis.h"
 #include "constraints/system.h"
+#include "core/posterior.h"
 #include "maxent/decomposed.h"
 
 namespace pme::core {
@@ -52,9 +54,11 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
 
   // One union-find pass over the knowledge rows alone — the artifact's
   // invariants-only partition already absorbed the table side.
-  const constraints::ComponentAnalysis components =
-      constraints::ComponentAnalysis::Extend(artifact.base_components(),
-                                             index, compiled.constraints);
+  const constraints::ComponentAnalysis components = [&] {
+    trace::TraceSpan extend_span("extend", "session");
+    return constraints::ComponentAnalysis::Extend(
+        artifact.base_components(), index, compiled.constraints);
+  }();
 
   AnalysisOptions run_options = options;
   // Per-artifact cache namespace, unless the caller already chose one.
@@ -67,29 +71,14 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
   analysis.num_background_constraints = num_bk;
   analysis.num_vacuous_statements = compiled.num_vacuous;
 
-  // The decomposed solve only ever *uses* invariant rows of
-  // knowledge-coupled buckets: rows of uncoupled buckets are satisfied
-  // exactly by the Theorem-5 closed form and skipped during block
-  // routing. So the per-request system carries just that coupled slice
-  // plus the knowledge rows — O(request), not O(table) — which leaves
-  // the solution identical (and the per-block cache keys identical: the
-  // same rows route to the same blocks).
-  constraints::ConstraintSystem system(index.num_variables());
-  {
-    const auto& invariants = artifact.invariants();
-    const auto& row_bucket = artifact.invariant_row_bucket();
-    for (size_t i = 0; i < invariants.size(); ++i) {
-      const uint32_t bucket = row_bucket[i];
-      if (bucket == UINT32_MAX ||
-          components.components()[components.ComponentOf(bucket)].coupled) {
-        system.Add(invariants[i]);
-      }
-    }
-  }
-  system.AddAll(std::move(compiled.constraints));
-
+  // The solve reads rows by reference: the artifact's invariant rows
+  // grouped by bucket (only knowledge-coupled buckets' groups are ever
+  // visited; the rest hold exactly under the closed form) plus this
+  // request's knowledge rows. Nothing of the table side is copied.
+  const constraints::SystemView rows =
+      artifact.InvariantView(&compiled.constraints);
   analysis.decomposition =
-      maxent::AnalyzeDecomposition(index, system, &components);
+      maxent::AnalyzeDecomposition(index, rows, &components);
 
   {
     trace::TraceSpan solve_span("solve", "session");
@@ -99,7 +88,7 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
         artifact.closed_form_prior_entropy();
     PME_ASSIGN_OR_RETURN(
         analysis.solver,
-        maxent::SolveDecomposed(artifact.table(), index, system,
+        maxent::SolveDecomposed(artifact.table(), index, rows,
                                 run_options.solver,
                                 run_options.solver_options, &components));
     // Per-block solve effort, aligned with the decomposition census's
@@ -117,43 +106,49 @@ Result<Analysis> AnalysisSession::Run(const knowledge::KnowledgeBase& kb,
   }
 
   // Evaluation. The solve leaves every variable outside the
-  // knowledge-coupled buckets at the precomputed prior, so only the
-  // touched q rows of the posterior (and their per-q evaluation slices)
-  // can differ from the artifact's cached prior evaluation — recompute
-  // exactly those and re-aggregate. RecomputeRow and the aggregations
-  // replay a full rebuild's arithmetic, so the result matches
-  // PosteriorTable::FromSolution + EstimationAccuracy +
+  // knowledge-coupled buckets at the precomputed prior, so only the q
+  // rows those buckets hold (and their per-q evaluation slices) can
+  // differ from the artifact's prior posterior and prior evaluation.
+  // Recompute exactly those; the posterior becomes an overlay of them on
+  // the shared prior rows, and the aggregates read the prior slices
+  // through the same overlay in q order. ComputeRow, EvaluateQ and
+  // SummarizePerQ replay a full rebuild's arithmetic, so the result
+  // matches PosteriorTable::FromSolution + EstimationAccuracy +
   // ComputePrivacyMetrics bit for bit.
   trace::TraceSpan evaluate_span("evaluate", "session");
-  analysis.posterior = artifact.prior_posterior();
-  PerQEvaluation eval = artifact.prior_evaluation();
-  const auto& bucket_var_begin = artifact.bucket_var_begin();
-  const auto& q_offsets = artifact.q_var_offsets();
-  const auto& q_vars = artifact.q_vars();
-  std::vector<uint8_t> touched(artifact.table().num_qi_values(), 0);
   std::vector<uint32_t> touched_qs;
-  for (const auto& comp : components.components()) {
-    if (!comp.coupled) continue;
-    for (const uint32_t bucket : comp.buckets) {
-      for (uint32_t var = bucket_var_begin[bucket];
-           var < bucket_var_begin[bucket + 1]; ++var) {
-        const uint32_t q = index.TermOf(var).qi;
-        if (!touched[q]) {
-          touched[q] = 1;
-          touched_qs.push_back(q);
-        }
-      }
+  for (const uint32_t k : components.coupled_components()) {
+    for (const uint32_t bucket : components.Buckets(k)) {
+      const auto& qis = index.BucketQiList(bucket);
+      touched_qs.insert(touched_qs.end(), qis.begin(), qis.end());
     }
   }
-  for (const uint32_t q : touched_qs) {
-    analysis.posterior.RecomputeRow(q, q_vars.data() + q_offsets[q],
-                                    q_offsets[q + 1] - q_offsets[q], index,
-                                    analysis.solver.p);
-    ReevaluateQ(artifact.ground_truth(), analysis.posterior, q, &eval);
+  std::sort(touched_qs.begin(), touched_qs.end());
+  touched_qs.erase(std::unique(touched_qs.begin(), touched_qs.end()),
+                   touched_qs.end());
+  const PosteriorTable& prior = artifact.prior_posterior();
+  const auto& q_offsets = artifact.q_var_offsets();
+  const auto& q_vars = artifact.q_vars();
+  const size_t num_sa = prior.num_sa();
+  std::vector<double> touched_rows(touched_qs.size() * num_sa);
+  PerQEvaluation touched_eval(touched_qs.size());
+  for (size_t i = 0; i < touched_qs.size(); ++i) {
+    const uint32_t q = touched_qs[i];
+    double* row = touched_rows.data() + i * num_sa;
+    prior.ComputeRow(q, q_vars.data() + q_offsets[q],
+                     q_offsets[q + 1] - q_offsets[q], index,
+                     analysis.solver.p, row);
+    touched_eval[i] = EvaluateQ(artifact.ground_truth(), q, row);
   }
-  analysis.estimation_accuracy =
-      AccuracyFromPerQ(artifact.ground_truth(), eval);
-  analysis.metrics = MetricsFromPerQ(analysis.posterior, eval);
+  analysis.posterior =
+      prior.WithRows(std::move(touched_qs), std::move(touched_rows));
+  const EvaluationSummary summary =
+      SummarizePerQ(artifact.ground_truth(), analysis.posterior,
+                    artifact.prior_evaluation(), touched_eval);
+  analysis.estimation_accuracy = summary.estimation_accuracy;
+  analysis.metrics = summary.metrics;
+  evaluate_span.AddArg("touched_qs",
+                       static_cast<double>(touched_eval.size()));
   return analysis;
 }
 

@@ -16,9 +16,13 @@ namespace pme::core {
 /// The per-request half of an analysis: everything that depends on the
 /// adversary's knowledge. A session borrows (shares) an immutable
 /// TableArtifact and, per Run, compiles only the background-knowledge
-/// rows, merges them into the artifact's precompiled invariant system,
-/// extends the invariants-only component partition, and solves — with
-/// whatever deadline/cancellation/cache plumbing the options carry.
+/// rows, extends the invariants-only component partition, solves over
+/// the artifact's invariant rows and the knowledge rows by reference,
+/// and evaluates only the q rows the knowledge-coupled buckets hold —
+/// with whatever deadline/cancellation/cache plumbing the options carry.
+/// A request costs O(coupled rows + touched q), plus two passes that
+/// stay O(table): the aggregate loop over q and the dense copy of the
+/// prior into SolverResult::p.
 ///
 /// Sessions hold no mutable state: Run is const, and any number of
 /// sessions (or concurrent Run calls on one session) may share a single

@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "constraints/component_analysis.h"
 #include "constraints/invariants.h"
+#include "constraints/system.h"
 #include "constraints/term_index.h"
 #include "core/posterior.h"
 #include "data/dataset.h"
@@ -36,7 +37,8 @@ struct TableArtifactOptions {
 ///   - the published BucketizedTable (and its QI tuple encoder, when the
 ///     table came from a concrete dataset),
 ///   - the TermIndex materializing the variable space,
-///   - the compiled invariant constraint rows (Section 5),
+///   - the compiled invariant constraint rows (Section 5), grouped by
+///     bucket, with each row's content signature,
 ///   - the invariants-only ComponentAnalysis (trivially one uncoupled
 ///     component per bucket — invariants never couple buckets — which
 ///     AnalysisSession extends with each request's knowledge rows),
@@ -76,12 +78,26 @@ class TableArtifact {
   const constraints::ComponentAnalysis& base_components() const {
     return base_components_;
   }
-  /// Bucket of each invariant row (aligned with invariants()); invariant
-  /// rows never span buckets, so a session can gather just the rows of
-  /// knowledge-coupled buckets instead of copying the whole table side
-  /// per request. UINT32_MAX for a (degenerate) row with no support.
-  const std::vector<uint32_t>& invariant_row_bucket() const {
-    return invariant_row_bucket_;
+  /// Per-bucket row offsets into invariants(): the rows of bucket b are
+  /// [invariant_row_offsets()[b], invariant_row_offsets()[b + 1]) —
+  /// invariant rows never span buckets, so a session reads just the rows
+  /// of knowledge-coupled buckets, by reference.
+  const std::vector<uint32_t>& invariant_row_offsets() const {
+    return invariant_row_offsets_;
+  }
+  /// constraints::ConstraintRowSignature of every invariant row (aligned
+  /// with invariants()), hashed once at build for the solution cache's
+  /// block keys and warm-start row matching.
+  const std::vector<Hash128>& invariant_row_signatures() const {
+    return invariant_row_signatures_;
+  }
+  /// The invariant rows as a SystemView's bucket rows, with `knowledge`
+  /// (may be null) as its free rows — what a session hands the solve.
+  constraints::SystemView InvariantView(
+      const std::vector<constraints::LinearConstraint>* knowledge) const {
+    return constraints::SystemView(index_.num_variables(), &invariants_,
+                                   &invariant_row_offsets_,
+                                   &invariant_row_signatures_, knowledge);
   }
   /// Precomputed per-bucket empirical conditional P(S | Q) — knowledge-
   /// independent, so requests share one copy instead of rebuilding it.
@@ -100,14 +116,10 @@ class TableArtifact {
   /// Posterior P*(S | Q) of the closed-form prior, plus its per-q
   /// evaluation slices against ground_truth(). A request whose solve
   /// moved only the knowledge-coupled buckets off the prior re-derives
-  /// just those rows (see AnalysisSession).
+  /// just those rows and reads the rest through an overlay (see
+  /// AnalysisSession); neither is copied per request.
   const PosteriorTable& prior_posterior() const { return prior_posterior_; }
   const PerQEvaluation& prior_evaluation() const { return prior_evaluation_; }
-  /// Variable-id range [bucket_var_begin()[b], bucket_var_begin()[b+1])
-  /// of bucket b — TermIndex numbers variables bucket-major.
-  const std::vector<uint32_t>& bucket_var_begin() const {
-    return bucket_var_begin_;
-  }
   /// CSR over q: ascending variable ids of QI value q are
   /// q_vars()[q_var_offsets()[q] ... q_var_offsets()[q+1]).
   const std::vector<uint32_t>& q_var_offsets() const {
@@ -131,13 +143,13 @@ class TableArtifact {
   constraints::TermIndex index_;
   std::vector<constraints::LinearConstraint> invariants_;
   constraints::ComponentAnalysis base_components_;
-  std::vector<uint32_t> invariant_row_bucket_;
+  std::vector<uint32_t> invariant_row_offsets_;
+  std::vector<Hash128> invariant_row_signatures_;
   PosteriorTable ground_truth_;
   std::vector<double> closed_form_prior_;
   double closed_form_prior_entropy_ = 0.0;
   PosteriorTable prior_posterior_;
   PerQEvaluation prior_evaluation_;
-  std::vector<uint32_t> bucket_var_begin_;
   std::vector<uint32_t> q_var_offsets_;
   std::vector<uint32_t> q_vars_;
   TableArtifactOptions options_;

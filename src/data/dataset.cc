@@ -45,7 +45,21 @@ uint32_t TupleEncoder::EncodeCodes(const std::vector<uint32_t>& codes) {
   const uint32_t id = static_cast<uint32_t>(tuples_.size());
   tuples_.push_back(codes);
   ids_.emplace(codes, id);
+  for (size_t i = 0; i < codes.size() && i < postings_.size(); ++i) {
+    auto& by_code = postings_[i];
+    if (codes[i] >= by_code.size()) by_code.resize(codes[i] + 1);
+    by_code[codes[i]].push_back(id);
+  }
   return id;
+}
+
+const std::vector<uint32_t>& TupleEncoder::Postings(size_t position,
+                                                    uint32_t code) const {
+  static const std::vector<uint32_t> kNone;
+  if (position >= postings_.size() || code >= postings_[position].size()) {
+    return kNone;
+  }
+  return postings_[position][code];
 }
 
 Result<uint32_t> TupleEncoder::Find(const std::vector<uint32_t>& codes) const {

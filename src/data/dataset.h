@@ -50,11 +50,15 @@ class Dataset {
 /// The paper works with "an instance of the QI attributes" (`q` values in
 /// Figure 1(c)): a whole tuple such as {male, college} gets one symbol.
 /// TupleEncoder assigns each distinct observed tuple a dense id in
-/// first-seen order and remembers the tuple behind each id.
+/// first-seen order and remembers the tuple behind each id. It also keeps
+/// one posting list per (tuple position, value): the ids of the tuples
+/// holding that value there, ascending — so a lookup by a few attribute
+/// values walks the matching ids instead of every tuple.
 class TupleEncoder {
  public:
   /// `attrs` are the dataset attribute indices that make up the tuple.
-  explicit TupleEncoder(std::vector<size_t> attrs) : attrs_(std::move(attrs)) {}
+  explicit TupleEncoder(std::vector<size_t> attrs)
+      : attrs_(std::move(attrs)), postings_(attrs_.size()) {}
 
   /// Encodes the tuple of record `row` in `d`, interning if unseen.
   uint32_t Encode(const Dataset& d, size_t row);
@@ -74,6 +78,10 @@ class TupleEncoder {
   /// The attribute indices this encoder covers.
   const std::vector<size_t>& attrs() const { return attrs_; }
 
+  /// Ids of the tuples whose code at tuple position `position` (an index
+  /// into attrs()) is `code`, ascending; empty when no tuple has it.
+  const std::vector<uint32_t>& Postings(size_t position, uint32_t code) const;
+
   /// Number of distinct tuples seen.
   uint32_t size() const { return static_cast<uint32_t>(tuples_.size()); }
 
@@ -91,6 +99,9 @@ class TupleEncoder {
 
   std::vector<size_t> attrs_;
   std::vector<std::vector<uint32_t>> tuples_;
+  // postings_[position][code]: tuple ids, ascending (ids grow as tuples
+  // are interned, so appending keeps the order).
+  std::vector<std::vector<std::vector<uint32_t>>> postings_;
   std::unordered_map<std::vector<uint32_t>, uint32_t, VectorHash> ids_;
 };
 

@@ -46,6 +46,36 @@ Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
+Result<SparseMatrix> SparseMatrix::FromCsr(size_t rows, size_t cols,
+                                           std::vector<size_t> row_offsets,
+                                           std::vector<uint32_t> col_indices,
+                                           std::vector<double> values) {
+  if (row_offsets.size() != rows + 1 || row_offsets.front() != 0 ||
+      row_offsets.back() != col_indices.size() ||
+      col_indices.size() != values.size()) {
+    return Status::InvalidArgument("CSR arrays disagree on shape");
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (row_offsets[r] > row_offsets[r + 1]) {
+      return Status::InvalidArgument("CSR row offsets decrease");
+    }
+    for (size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
+      if (col_indices[k] >= cols ||
+          (k > row_offsets[r] && col_indices[k] <= col_indices[k - 1])) {
+        return Status::InvalidArgument(
+            "CSR column indices out of range or not strictly ascending");
+      }
+    }
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_offsets_ = std::move(row_offsets);
+  m.col_indices_ = std::move(col_indices);
+  m.values_ = std::move(values);
+  return m;
+}
+
 SparseMatrix SparseMatrix::FromDense(
     const std::vector<std::vector<double>>& dense) {
   std::vector<Triplet> triplets;

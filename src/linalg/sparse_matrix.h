@@ -37,6 +37,16 @@ class SparseMatrix {
   static Result<SparseMatrix> FromTriplets(size_t rows, size_t cols,
                                            std::vector<Triplet> triplets);
 
+  /// Adopts CSR arrays as they are: `row_offsets` holds rows + 1
+  /// nondecreasing entries from 0 to nnz, and each row's column indices
+  /// are strictly ascending and below `cols`. No sort, no dedupe, no
+  /// zero dropping — for callers that assemble canonical rows directly.
+  /// Malformed arrays yield kInvalidArgument.
+  static Result<SparseMatrix> FromCsr(size_t rows, size_t cols,
+                                      std::vector<size_t> row_offsets,
+                                      std::vector<uint32_t> col_indices,
+                                      std::vector<double> values);
+
   /// Builds a dense row-major matrix (testing convenience).
   static SparseMatrix FromDense(const std::vector<std::vector<double>>& dense);
 

@@ -26,40 +26,121 @@ namespace pme::maxent {
 using constraints::ComponentAnalysis;
 
 DecompositionStats AnalyzeDecomposition(
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
     const constraints::ComponentAnalysis* precomputed) {
   DecompositionStats stats;
   stats.total_variables = index.num_variables();
   std::optional<ComponentAnalysis> local;
-  if (precomputed == nullptr) local = ComponentAnalysis::Build(index, system);
+  if (precomputed == nullptr) local = ComponentAnalysis::Build(index, rows);
   const ComponentAnalysis& analysis = precomputed ? *precomputed : *local;
   stats.num_components = analysis.num_components();
   stats.num_coupled_components = analysis.num_coupled();
-  for (const auto& comp : analysis.components()) {
-    if (comp.coupled) {
-      stats.relevant_buckets += comp.buckets.size();
-      stats.relevant_variables += comp.num_variables;
-      stats.coupled_component_variables.push_back(comp.num_variables);
-    } else {
-      stats.irrelevant_buckets += comp.buckets.size();
-    }
+  for (const uint32_t k : analysis.coupled_components()) {
+    const auto& comp = analysis.components()[k];
+    stats.relevant_buckets += comp.num_buckets();
+    stats.relevant_variables += comp.num_variables;
+    stats.coupled_component_variables.push_back(comp.num_variables);
   }
+  stats.irrelevant_buckets = index.num_buckets() - stats.relevant_buckets;
   return stats;
 }
 
 namespace {
 
-/// The row/column selection of one coupled component's block.
-struct BlockSelection {
-  std::vector<uint32_t> cols;       // full-space variable ids, ascending
-  std::vector<uint32_t> eq_rows;    // rows of the full eq matrix
-  std::vector<uint32_t> ineq_rows;  // rows of the full ineq matrix
-  // Per-row content signatures aligned with eq_rows / ineq_rows; only
-  // collected when a solution cache is consulted.
-  std::vector<Hash128> eq_row_sigs;
-  std::vector<Hash128> ineq_row_sigs;
-};
+/// A row that routes to no block: either a row on an uncoupled component
+/// (satisfied exactly by the closed form) or one with empty support,
+/// which must be vacuously satisfiable.
+Status CheckUnroutedRow(const constraints::LinearConstraint& c) {
+  const bool empty_support =
+      std::all_of(c.coefs.begin(), c.coefs.end(),
+                  [](double v) { return v == 0.0; });
+  if (!empty_support) return Status::Ok();
+  // The bound as BuildProblem states it: kGe rows are negated into kLe.
+  const bool violated =
+      c.rel == knowledge::Relation::kEq   ? std::fabs(c.rhs) > 1e-12
+      : c.rel == knowledge::Relation::kLe ? c.rhs < -1e-12
+                                          : -c.rhs < -1e-12;
+  if (violated) {
+    return Status::Infeasible("constraint '" + c.label +
+                              "' has empty support and nonzero bound");
+  }
+  return Status::Ok();
+}
+
+/// Block column of full-space variable `var`, or -1 when the block does
+/// not hold it.
+int64_t BlockColumn(const BlockRows& block, uint32_t var) {
+  const auto& firsts = block.bucket_first_var;
+  auto it = std::upper_bound(firsts.begin(), firsts.end(), var);
+  if (it == firsts.begin()) return -1;
+  const size_t i = static_cast<size_t>(it - firsts.begin()) - 1;
+  const uint32_t end_col = i + 1 < firsts.size()
+                               ? block.bucket_first_col[i + 1]
+                               : static_cast<uint32_t>(block.cols.size());
+  const uint32_t col = block.bucket_first_col[i] + (var - firsts[i]);
+  return col < end_col ? static_cast<int64_t>(col) : -1;
+}
+
+/// One side (equality or inequality) of a block's subproblem.
+Status AssembleRows(
+    const BlockRows& block,
+    const std::vector<const constraints::LinearConstraint*>& rows,
+    linalg::SparseMatrix* matrix, std::vector<double>* rhs) {
+  std::vector<size_t> offsets;
+  offsets.reserve(rows.size() + 1);
+  offsets.push_back(0);
+  std::vector<uint32_t> cols;
+  std::vector<double> values;
+  std::vector<std::pair<uint32_t, double>> entries;
+  rhs->reserve(rows.size());
+  for (const constraints::LinearConstraint* c : rows) {
+    if (c->vars.size() != c->coefs.size()) {
+      return Status::InvalidArgument("constraint '" + c->label +
+                                     "': vars and coefs differ in size");
+    }
+    const bool negate = c->rel == knowledge::Relation::kGe;
+    entries.clear();
+    for (size_t i = 0; i < c->vars.size(); ++i) {
+      // Zero coefficients never reach the matrix (BuildProblem drops zero
+      // sums); skipping them first also keeps off-block zero entries out.
+      if (c->coefs[i] == 0.0) continue;
+      const int64_t col = BlockColumn(block, c->vars[i]);
+      if (col < 0) {
+        return Status::Internal("constraint '" + c->label +
+                                "' reaches outside its block");
+      }
+      entries.emplace_back(static_cast<uint32_t>(col),
+                           negate ? -c->coefs[i] : c->coefs[i]);
+    }
+    const auto by_col = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
+      std::stable_sort(entries.begin(), entries.end(), by_col);
+    }
+    // Duplicate columns summed in row order, zero sums dropped — the
+    // triplet assembly's canonical form.
+    for (size_t i = 0; i < entries.size();) {
+      const uint32_t col = entries[i].first;
+      double v = 0.0;
+      for (; i < entries.size() && entries[i].first == col; ++i) {
+        v += entries[i].second;
+      }
+      if (v != 0.0) {
+        cols.push_back(col);
+        values.push_back(v);
+      }
+    }
+    offsets.push_back(cols.size());
+    rhs->push_back(negate ? -c->rhs : c->rhs);
+  }
+  PME_ASSIGN_OR_RETURN(
+      *matrix, linalg::SparseMatrix::FromCsr(rows.size(), block.cols.size(),
+                                             std::move(offsets),
+                                             std::move(cols),
+                                             std::move(values)));
+  return Status::Ok();
+}
 
 /// The cache key of one block: its content digest plus the solve knobs
 /// that change the answer (tolerance, presolve). Two analyses asking for
@@ -89,10 +170,11 @@ Hash128 MakeVarsKey(const Hash128& vars_hash, const SolverOptions& options) {
 /// from a cached entry: rows are matched by content signature (equality
 /// and inequality rows separately — their multipliers live in different
 /// sign regimes); unmatched rows — the toggled/edited statements — start
-/// at 0. Returns an empty vector when nothing matched (a zero vector is
-/// the cold start; passing it would only pretend to be warm).
+/// at 0. `*matched` receives the number of rows carried over. Returns an
+/// empty vector when nothing matched (a zero vector is the cold start;
+/// passing it would only pretend to be warm).
 std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
-                                   const BlockSelection& sel) {
+                                   const BlockRows& sel, size_t* matched) {
   std::unordered_map<Hash128, double, Hash128Hasher> eq_lambda;
   std::unordered_map<Hash128, double, Hash128Hasher> ineq_lambda;
   if (cached.lambda_full.size() !=
@@ -107,22 +189,22 @@ std::vector<double> BuildWarmStart(const CachedComponentSolution& cached,
                         cached.lambda_full[cached.eq_row_sigs.size() + j]);
   }
   std::vector<double> warm(sel.eq_rows.size() + sel.ineq_rows.size(), 0.0);
-  size_t matched = 0;
+  *matched = 0;
   for (size_t j = 0; j < sel.eq_row_sigs.size(); ++j) {
     auto it = eq_lambda.find(sel.eq_row_sigs[j]);
     if (it != eq_lambda.end()) {
       warm[j] = it->second;
-      ++matched;
+      ++*matched;
     }
   }
   for (size_t j = 0; j < sel.ineq_row_sigs.size(); ++j) {
     auto it = ineq_lambda.find(sel.ineq_row_sigs[j]);
     if (it != ineq_lambda.end()) {
       warm[sel.eq_rows.size() + j] = it->second;
-      ++matched;
+      ++*matched;
     }
   }
-  if (matched == 0) return {};
+  if (*matched == 0) return {};
   return warm;
 }
 
@@ -161,20 +243,138 @@ SolveMetrics& GetSolveMetrics() {
   return m;
 }
 
+/// Worst violation over the rows a decomposed solve answers for: every
+/// free row, and the bucket rows of coupled buckets. Bucket rows of
+/// uncoupled buckets hold exactly under the closed form.
+double MaxViolation(const constraints::SystemView& rows,
+                    const ComponentAnalysis& analysis,
+                    const std::vector<double>& p) {
+  double worst = 0.0;
+  if (rows.bucket_rows != nullptr) {
+    for (const uint32_t k : analysis.coupled_components()) {
+      for (const uint32_t b : analysis.Buckets(k)) {
+        const auto [first, last] = rows.BucketRowRange(b);
+        for (uint32_t r = first; r < last; ++r) {
+          worst = std::max(worst, (*rows.bucket_rows)[r].Violation(p));
+        }
+      }
+    }
+  }
+  if (rows.free_rows != nullptr) {
+    for (const auto& c : *rows.free_rows) {
+      worst = std::max(worst, c.Violation(p));
+    }
+  }
+  return worst;
+}
+
 }  // namespace
+
+Result<std::vector<BlockRows>> RouteBlocks(
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
+    const ComponentAnalysis& analysis, bool signatures) {
+  const std::vector<uint32_t>& coupled = analysis.coupled_components();
+  std::vector<BlockRows> blocks(coupled.size());
+  // Block of a row: that of its first supported variable's component,
+  // or -1 for empty support / an uncoupled component.
+  const auto block_of = [&](const constraints::LinearConstraint& c) {
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      if (c.coefs[i] == 0.0) continue;
+      const uint32_t k =
+          analysis.ComponentOf(index.TermOf(c.vars[i]).bucket);
+      auto it = std::lower_bound(coupled.begin(), coupled.end(), k);
+      if (it == coupled.end() || *it != k) return int64_t{-1};
+      return static_cast<int64_t>(it - coupled.begin());
+    }
+    return int64_t{-1};
+  };
+  const auto add = [&](BlockRows& sel, const constraints::LinearConstraint& c,
+                       const Hash128* signature) {
+    const bool is_eq = c.rel == knowledge::Relation::kEq;
+    (is_eq ? sel.eq_rows : sel.ineq_rows).push_back(&c);
+    if (signatures) {
+      (is_eq ? sel.eq_row_sigs : sel.ineq_row_sigs)
+          .push_back(signature != nullptr
+                         ? *signature
+                         : constraints::ConstraintRowSignature(c));
+    }
+  };
+
+  for (size_t i = 0; i < coupled.size(); ++i) {
+    BlockRows& block = blocks[i];
+    const ComponentAnalysis::BucketSpan buckets =
+        analysis.Buckets(coupled[i]);
+    block.cols.reserve(analysis.components()[coupled[i]].num_variables);
+    block.bucket_first_var.reserve(buckets.size());
+    block.bucket_first_col.reserve(buckets.size());
+    size_t num_bucket_rows = 0;
+    for (const uint32_t b : buckets) {
+      const auto [first, last] = index.BucketRange(b);
+      block.bucket_first_var.push_back(first);
+      block.bucket_first_col.push_back(
+          static_cast<uint32_t>(block.cols.size()));
+      for (uint32_t v = first; v < last; ++v) block.cols.push_back(v);
+      const auto [row_first, row_last] = rows.BucketRowRange(b);
+      num_bucket_rows += row_last - row_first;
+    }
+    // The block's bucket rows, in view order: by bucket, ascending. A
+    // bucket row stays inside its bucket, so any supported one belongs
+    // to this block — no per-row lookup.
+    if (rows.bucket_rows == nullptr) continue;
+    block.eq_rows.reserve(num_bucket_rows);
+    if (signatures) block.eq_row_sigs.reserve(num_bucket_rows);
+    for (const uint32_t b : buckets) {
+      const auto [first, last] = rows.BucketRowRange(b);
+      for (uint32_t r = first; r < last; ++r) {
+        const constraints::LinearConstraint& c = (*rows.bucket_rows)[r];
+        const bool supported =
+            std::any_of(c.coefs.begin(), c.coefs.end(),
+                        [](double v) { return v != 0.0; });
+        if (!supported) {
+          PME_RETURN_IF_ERROR(CheckUnroutedRow(c));
+          continue;
+        }
+        add(block, c,
+            rows.bucket_row_signatures != nullptr
+                ? &(*rows.bucket_row_signatures)[r]
+                : nullptr);
+      }
+    }
+  }
+  if (rows.free_rows != nullptr) {
+    for (const auto& c : *rows.free_rows) {
+      const int64_t block = block_of(c);
+      if (block < 0) {
+        PME_RETURN_IF_ERROR(CheckUnroutedRow(c));
+        continue;
+      }
+      add(blocks[static_cast<size_t>(block)], c, nullptr);
+    }
+  }
+  return blocks;
+}
+
+Result<MaxEntProblem> AssembleBlock(const BlockRows& block) {
+  MaxEntProblem sub;
+  sub.num_vars = block.cols.size();
+  PME_RETURN_IF_ERROR(AssembleRows(block, block.eq_rows, &sub.eq,
+                                   &sub.eq_rhs));
+  PME_RETURN_IF_ERROR(AssembleRows(block, block.ineq_rows, &sub.ineq,
+                                   &sub.ineq_rhs));
+  return sub;
+}
 
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system, SolverKind kind,
-    const SolverOptions& options,
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
+    SolverKind kind, const SolverOptions& options,
     const constraints::ComponentAnalysis* precomputed) {
   Timer timer;
   trace::TraceSpan solve_span("solve_decomposed", "solve");
   GetSolveMetrics().runs->Add();
   std::optional<ComponentAnalysis> local_analysis;
   if (precomputed == nullptr) {
-    local_analysis = ComponentAnalysis::Build(index, system);
+    local_analysis = ComponentAnalysis::Build(index, rows);
   }
   const ComponentAnalysis& analysis =
       precomputed ? *precomputed : *local_analysis;
@@ -200,28 +400,11 @@ Result<SolverResult> SolveDecomposed(
   const bool incremental_entropy =
       prior_provided && std::isfinite(options.closed_form_prior_entropy);
 
-  // Dense numbering of the coupled components.
-  std::vector<int64_t> block_of_component(analysis.num_components(), -1);
-  std::vector<BlockSelection> blocks;
-  blocks.reserve(analysis.num_coupled());
-  for (size_t k = 0; k < analysis.num_components(); ++k) {
-    const auto& comp = analysis.components()[k];
-    if (!comp.coupled) continue;
-    block_of_component[k] = static_cast<int64_t>(blocks.size());
-    BlockSelection block;
-    block.cols.reserve(comp.num_variables);
-    for (uint32_t b : comp.buckets) {
-      const auto [first, last] = index.BucketRange(b);
-      for (uint32_t v = first; v < last; ++v) block.cols.push_back(v);
-    }
-    blocks.push_back(std::move(block));
-  }
-
-  if (blocks.empty()) {
+  if (analysis.num_coupled() == 0) {
     result.entropy = incremental_entropy
                          ? options.closed_form_prior_entropy
                          : Entropy(result.p);
-    result.max_violation = system.MaxViolation(result.p);
+    result.max_violation = MaxViolation(rows, analysis, result.p);
     result.seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -231,53 +414,13 @@ Result<SolverResult> SolveDecomposed(
       cache != nullptr && options.cache_mode != CacheMode::kOff;
   result.cache_enabled = cache_on;
 
-  // Assemble the full constraint matrices once, then slice each block out
-  // with Submatrix. Row numbering must mirror ToMatrices: equality rows in
-  // constraint order, inequality rows (kLe, and kGe negated) likewise.
-  PME_ASSIGN_OR_RETURN(MaxEntProblem full, BuildProblem(system));
+  // Each coupled block's columns and rows, by reference into the view
+  // (dense numbering: the coupled components in id order).
+  std::vector<BlockRows> blocks;
   {
-    uint32_t eq_row = 0, ineq_row = 0;
-    for (const auto& c : system.constraints()) {
-      const bool is_eq = c.rel == knowledge::Relation::kEq;
-      const uint32_t row = is_eq ? eq_row++ : ineq_row++;
-      int64_t block = -1;
-      for (size_t i = 0; i < c.vars.size(); ++i) {
-        if (c.coefs[i] == 0.0) continue;
-        // Union-find put every bucket a constraint touches into one
-        // component, so the first supported variable decides the block.
-        block = block_of_component[analysis.ComponentOf(
-            index.TermOf(c.vars[i]).bucket)];
-        break;
-      }
-      if (block < 0) {
-        // Either an empty row (check it is vacuously satisfiable) or a
-        // constraint on an uncoupled component — which is an invariant by
-        // construction, satisfied exactly by the closed form.
-        const double rhs = is_eq ? full.eq_rhs[row] : full.ineq_rhs[row];
-        const bool empty_support =
-            c.vars.empty() ||
-            std::all_of(c.coefs.begin(), c.coefs.end(),
-                        [](double v) { return v == 0.0; });
-        if (empty_support &&
-            (is_eq ? std::fabs(rhs) > 1e-12 : rhs < -1e-12)) {
-          return Status::Infeasible("constraint '" + c.label +
-                                    "' has empty support and nonzero bound");
-        }
-        continue;
-      }
-      auto& sel = blocks[static_cast<size_t>(block)];
-      if (is_eq) {
-        sel.eq_rows.push_back(row);
-        if (cache_on) {
-          sel.eq_row_sigs.push_back(constraints::ConstraintRowSignature(c));
-        }
-      } else {
-        sel.ineq_rows.push_back(row);
-        if (cache_on) {
-          sel.ineq_row_sigs.push_back(constraints::ConstraintRowSignature(c));
-        }
-      }
-    }
+    trace::TraceSpan route_span("route", "solve");
+    PME_ASSIGN_OR_RETURN(blocks, RouteBlocks(index, rows, analysis, cache_on));
+    route_span.AddArg("blocks", static_cast<double>(blocks.size()));
   }
 
   // Solution-cache pre-pass: serial, in block-id order, so the census
@@ -288,14 +431,23 @@ Result<SolverResult> SolveDecomposed(
   std::vector<std::shared_ptr<const CachedComponentSolution>> exact_hits(
       blocks.size());
   std::vector<std::vector<double>> warm_vectors(blocks.size());
+  std::vector<size_t> warm_rows(blocks.size(), 0);
   std::vector<Hash128> exact_keys(blocks.size());
   std::vector<Hash128> vars_keys(blocks.size());
   if (cache_on) {
-    const constraints::ComponentSignatures sigs =
-        constraints::ComputeComponentSignatures(index, system, analysis);
+    trace::TraceSpan lookup_span("cache_lookup", "solve");
+    const std::vector<uint32_t>& coupled = analysis.coupled_components();
+    std::vector<Hash128> row_sigs;
     for (size_t i = 0; i < blocks.size(); ++i) {
-      exact_keys[i] = MakeExactKey(sigs.rows_hash[i], options);
-      vars_keys[i] = MakeVarsKey(sigs.vars_hash[i], options);
+      const Hash128 vars_sig =
+          constraints::ComponentVarsSignature(index, analysis, coupled[i]);
+      row_sigs.assign(blocks[i].eq_row_sigs.begin(),
+                      blocks[i].eq_row_sigs.end());
+      row_sigs.insert(row_sigs.end(), blocks[i].ineq_row_sigs.begin(),
+                      blocks[i].ineq_row_sigs.end());
+      exact_keys[i] = MakeExactKey(
+          constraints::ComponentRowsSignature(vars_sig, row_sigs), options);
+      vars_keys[i] = MakeVarsKey(vars_sig, options);
       auto hit = cache->FindExact(exact_keys[i]);
       if (hit != nullptr && hit->p.size() == blocks[i].cols.size()) {
         exact_hits[i] = std::move(hit);
@@ -306,11 +458,13 @@ Result<SolverResult> SolveDecomposed(
       if (options.cache_mode == CacheMode::kWarm) {
         auto warm = cache->FindWarm(vars_keys[i]);
         if (warm != nullptr) {
-          warm_vectors[i] = BuildWarmStart(*warm, blocks[i]);
+          warm_vectors[i] = BuildWarmStart(*warm, blocks[i], &warm_rows[i]);
           if (!warm_vectors[i].empty()) ++result.cache_warm_hits;
         }
       }
     }
+    lookup_span.AddArg("exact_hits",
+                       static_cast<double>(result.cache_exact_hits));
   }
 
   // Per-component wall-time budgets: each coupled block gets a share of
@@ -347,13 +501,20 @@ Result<SolverResult> SolveDecomposed(
   // requester's id here and re-installing it inside the task stitches
   // worker-thread block spans into the request's timeline.
   const uint64_t request_trace_id = trace::CurrentTraceId();
-  const std::function<void(size_t)> block_task = [&](size_t i) {
-        if (exact_hits[i] != nullptr) return;  // answered from the cache
+  // Only blocks the cache did not answer become tasks: an exact hit
+  // costs no task hand-off and wakes no worker.
+  std::vector<size_t> solving;
+  solving.reserve(blocks.size());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (exact_hits[i] == nullptr) solving.push_back(i);
+  }
+  const std::function<void(size_t)> block_task = [&](size_t task) {
+        const size_t i = solving[task];
         trace::TraceIdScope trace_scope(request_trace_id);
         trace::TraceSpan block_span("solve_block", "solve");
         block_span.AddArg("block", static_cast<double>(i));
         Timer block_timer;
-        const BlockSelection& sel = blocks[i];
+        const BlockRows& sel = blocks[i];
         block_span.AddArg("vars", static_cast<double>(sel.cols.size()));
         SolverOptions block_options = options;
         if (!warm_vectors[i].empty()) {
@@ -376,18 +537,11 @@ Result<SolverResult> SolveDecomposed(
           throw std::runtime_error("injected pool_task_throw failpoint");
         }
         auto solve_block = [&]() -> Result<SolverResult> {
-          MaxEntProblem sub;
-          sub.num_vars = sel.cols.size();
-          PME_ASSIGN_OR_RETURN(sub.eq,
-                               full.eq.Submatrix(sel.eq_rows, sel.cols));
-          PME_ASSIGN_OR_RETURN(sub.ineq,
-                               full.ineq.Submatrix(sel.ineq_rows, sel.cols));
-          sub.eq_rhs.reserve(sel.eq_rows.size());
-          for (uint32_t r : sel.eq_rows) sub.eq_rhs.push_back(full.eq_rhs[r]);
-          sub.ineq_rhs.reserve(sel.ineq_rows.size());
-          for (uint32_t r : sel.ineq_rows) {
-            sub.ineq_rhs.push_back(full.ineq_rhs[r]);
-          }
+          Result<MaxEntProblem> assembled = [&] {
+            trace::TraceSpan assemble_span("assemble", "solve");
+            return AssembleBlock(sel);
+          }();
+          PME_ASSIGN_OR_RETURN(const MaxEntProblem sub, std::move(assembled));
           if (options.fallback) {
             return SolveWithFallback(sub, kind, block_options,
                                      &block_attempts[i]);
@@ -403,8 +557,8 @@ Result<SolverResult> SolveDecomposed(
   // `threads` workers is spun for this call (serial inline when 1).
   const Status pool_status =
       options.pool != nullptr
-          ? options.pool->RunBatch(blocks.size(), block_task)
-          : ThreadPool::ParallelFor(threads, blocks.size(), block_task);
+          ? options.pool->RunBatch(solving.size(), block_task)
+          : ThreadPool::ParallelFor(threads, solving.size(), block_task);
 
   // Aggregate. With the fallback ladder on, a component whose every rung
   // failed keeps its closed-form no-knowledge prior (already in
@@ -439,7 +593,10 @@ Result<SolverResult> SolveDecomposed(
       result.component_outcomes.push_back(outcome);
       continue;
     }
-    if (!warm_vectors[i].empty()) outcome.cache = CacheOutcome::kWarmStart;
+    if (!warm_vectors[i].empty()) {
+      outcome.cache = CacheOutcome::kWarmStart;
+      outcome.warm_start_rows = warm_rows[i];
+    }
 
     Status block_error = Status::Ok();
     const SolverResult* sub = nullptr;
@@ -560,6 +717,8 @@ Result<SolverResult> SolveDecomposed(
       CachedComponentSolution entry;
       entry.p = sub.p;
       entry.lambda_full = sub.dual_lambda_full;
+      // Copied, not moved: routing leaves spare capacity in these vectors
+      // that the cache's residency budget would not account for.
       entry.eq_row_sigs = blocks[i].eq_row_sigs;
       entry.ineq_row_sigs = blocks[i].ineq_row_sigs;
       entry.dual_value = sub.dual_value;
@@ -611,7 +770,7 @@ Result<SolverResult> SolveDecomposed(
   } else {
     result.entropy = Entropy(result.p);
   }
-  result.max_violation = system.MaxViolation(result.p);
+  result.max_violation = MaxViolation(rows, analysis, result.p);
   result.seconds = timer.ElapsedSeconds();
   return result;
 }

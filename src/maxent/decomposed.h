@@ -4,11 +4,16 @@
 #ifndef PME_MAXENT_DECOMPOSED_H_
 #define PME_MAXENT_DECOMPOSED_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "anonymize/bucketized_table.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "constraints/component_analysis.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "maxent/problem.h"
 #include "maxent/solver.h"
 
 namespace pme::maxent {
@@ -49,20 +54,70 @@ namespace pme::maxent {
 /// token fired, kDeadlineExceeded when the request deadline is spent.
 /// With `fallback` off, the historical fail-fast contract stands: the
 /// first block error propagates as the call's Status.
-/// `precomputed`, when non-null, is the ComponentAnalysis of `system`
-/// over `index` (typically ComponentAnalysis::Extend of a table
-/// artifact's invariants-only base) and must match what
-/// ComponentAnalysis::Build(index, system) would produce; the solve
-/// then skips its own union-find pass. Not owned; must outlive the
-/// call. Scheduling: `options.pool`, when set, hosts the block tasks
+///
+/// Rows arrive through a constraints::SystemView, by reference: a
+/// ConstraintSystem converts implicitly; a table-artifact session passes
+/// the artifact's bucket-grouped invariant rows (with their precomputed
+/// signatures) plus the request's knowledge rows, so only the invariant
+/// rows of knowledge-coupled buckets are ever read. Stages: route rows
+/// to blocks (RouteBlocks), look each block up in the solution cache,
+/// assemble and solve the blocks that missed (AssembleBlock — no
+/// whole-system matrix is ever built), publish fresh solutions.
+/// `precomputed`, when non-null, is the ComponentAnalysis of `rows` over
+/// `index` (typically ComponentAnalysis::Extend of a table artifact's
+/// invariants-only base) and must match what
+/// ComponentAnalysis::Build(index, rows) would produce; the solve then
+/// skips its own union-find pass. Not owned; must outlive the call.
+/// Scheduling: `options.pool`, when set, hosts the block tasks
 /// (shared-pool serving); otherwise a private pool of `options.threads`
 /// workers is spun per call.
 Result<SolverResult> SolveDecomposed(
     const anonymize::BucketizedTable& table,
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
     SolverKind kind = SolverKind::kLbfgs, const SolverOptions& options = {},
     const constraints::ComponentAnalysis* precomputed = nullptr);
+
+/// One coupled block of a decomposed solve: its columns and the rows
+/// routed to it, by reference into the solve's SystemView.
+struct BlockRows {
+  /// Full-space variable ids, ascending (the block's bucket ranges).
+  std::vector<uint32_t> cols;
+  /// Per bucket of the block, ascending: its first variable id, and the
+  /// position in `cols` where its range starts.
+  std::vector<uint32_t> bucket_first_var;
+  std::vector<uint32_t> bucket_first_col;
+  /// Rows in view order, split as BuildProblem splits them: equality
+  /// rows, and inequality rows (kLe, and kGe negated when assembled).
+  std::vector<const constraints::LinearConstraint*> eq_rows;
+  std::vector<const constraints::LinearConstraint*> ineq_rows;
+  /// ConstraintRowSignature of each row, aligned with eq_rows /
+  /// ineq_rows; filled only when RouteBlocks was asked for signatures.
+  std::vector<Hash128> eq_row_sigs;
+  std::vector<Hash128> ineq_row_sigs;
+};
+
+/// Routes `rows` to the coupled blocks of `analysis` (block i is
+/// component analysis.coupled_components()[i]). A row goes to the block
+/// of its first supported variable — union-find put every bucket it
+/// touches into one component. Bucket rows of uncoupled buckets are
+/// never read, and free rows landing on an uncoupled component are
+/// skipped: both are satisfied exactly by the closed form. A visited row
+/// with empty support must be vacuous (kInfeasible otherwise). With
+/// `signatures`, each block also gets its row signatures — the view's
+/// precomputed ones for bucket rows when it carries them, hashed here
+/// otherwise. Cost: O(coupled buckets' rows + free rows).
+Result<std::vector<BlockRows>> RouteBlocks(
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
+    const constraints::ComponentAnalysis& analysis, bool signatures);
+
+/// The block's subproblem, assembled straight from its routed rows:
+/// equality rows then inequality rows in routed order (kGe negated into
+/// kLe form), each row's support mapped to block columns, sorted, with
+/// duplicate columns summed and zero sums dropped. Entry for entry what
+/// BuildProblem on the whole system followed by SparseMatrix::Submatrix
+/// on the block's rows and columns produces, at the cost of the block's
+/// own nonzeros.
+Result<MaxEntProblem> AssembleBlock(const BlockRows& block);
 
 /// Statistics of the decomposition (for the ablation bench).
 struct DecompositionStats {
@@ -85,10 +140,10 @@ struct DecompositionStats {
 };
 
 /// `precomputed` as in SolveDecomposed: a caller that already holds the
-/// ComponentAnalysis of (index, system) passes it to skip the pass.
+/// ComponentAnalysis of (index, rows) passes it to skip the pass; the
+/// census then costs O(coupled components).
 DecompositionStats AnalyzeDecomposition(
-    const constraints::TermIndex& index,
-    const constraints::ConstraintSystem& system,
+    const constraints::TermIndex& index, const constraints::SystemView& rows,
     const constraints::ComponentAnalysis* precomputed = nullptr);
 
 }  // namespace pme::maxent

@@ -217,11 +217,14 @@ struct ComponentOutcome {
   /// hit — no solve ran). The warm-vs-cold iteration reduction of the
   /// incremental-reanalysis bench is measured from exactly this field.
   size_t iterations = 0;
-  /// Wall-clock seconds of this block's solve (slicing + solve; for an
+  /// Wall-clock seconds of this block's solve (assembly + solve; for an
   /// exact hit, just the scatter bookkeeping).
   double seconds = 0.0;
   /// Cache relationship of this block's answer.
   CacheOutcome cache = CacheOutcome::kNone;
+  /// Rows whose cached multiplier seeded the warm start, matched by
+  /// content signature (0 unless `cache` is kWarmStart).
+  size_t warm_start_rows = 0;
 };
 
 /// Outcome of a MaxEnt solve.

@@ -15,6 +15,7 @@
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "core/table_artifact.h"
 #include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solver.h"
@@ -54,6 +55,15 @@ void AddConditional(const BucketizedTable& t, const TermIndex& index,
 
 // ------------------------------------------------------ ComponentAnalysis
 
+uint32_t BucketOfRow(const TermIndex& index, const LinearConstraint& row) {
+  return index.TermOf(row.vars.front()).bucket;
+}
+
+std::vector<uint32_t> BucketsOf(const ComponentAnalysis& analysis, size_t k) {
+  const auto buckets = analysis.Buckets(k);
+  return std::vector<uint32_t>(buckets.begin(), buckets.end());
+}
+
 TEST(ComponentAnalysisTest, NoKnowledgeYieldsSingletonFreeComponents) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);
@@ -66,7 +76,8 @@ TEST(ComponentAnalysisTest, NoKnowledgeYieldsSingletonFreeComponents) {
   EXPECT_EQ(analysis.num_coupled(), 0u);
   for (uint32_t b = 0; b < t.num_buckets(); ++b) {
     const auto& comp = analysis.components()[analysis.ComponentOf(b)];
-    EXPECT_EQ(comp.buckets, std::vector<uint32_t>{b});
+    EXPECT_EQ(BucketsOf(analysis, analysis.ComponentOf(b)),
+              std::vector<uint32_t>{b});
     EXPECT_FALSE(comp.coupled);
     const auto [first, last] = index.BucketRange(b);
     EXPECT_EQ(comp.num_variables, static_cast<size_t>(last - first));
@@ -87,7 +98,8 @@ TEST(ComponentAnalysisTest, KnowledgeMergesBucketsSharingItsSupport) {
   EXPECT_NE(analysis.ComponentOf(0), analysis.ComponentOf(2));
   const auto& coupled = analysis.components()[analysis.ComponentOf(0)];
   EXPECT_TRUE(coupled.coupled);
-  EXPECT_EQ(coupled.buckets, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(BucketsOf(analysis, analysis.ComponentOf(0)),
+            (std::vector<uint32_t>{0, 1}));
   EXPECT_FALSE(analysis.components()[analysis.ComponentOf(2)].coupled);
 }
 
@@ -231,6 +243,137 @@ TEST(SolveDecomposedTest, RandomMultiComponentSystemsAgreeWithMonolithic) {
     }
     EXPECT_LT(max_diff, 1e-6) << "seed " << seed;
     EXPECT_LT(block.max_violation, 1e-6) << "seed " << seed;
+  }
+}
+
+// ------------------------------------------------------ Block assembly
+
+// Each block's directly assembled subproblem must equal, entry for entry,
+// the whole-system matrices of BuildProblem sliced with Submatrix along
+// the routing rule (first supported variable decides the block) — for
+// the session's view (bucket-grouped invariants plus knowledge rows) and
+// for a ConstraintSystem passed whole.
+TEST(BlockAssemblyTest, DirectAssemblyEqualsWholeSystemSlice) {
+  const knowledge::Relation kRelations[] = {
+      knowledge::Relation::kEq, knowledge::Relation::kLe,
+      knowledge::Relation::kGe};
+  size_t blocks_checked = 0, ineq_rows_checked = 0;
+  for (int seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto t = RandomTable(10, 4, 20, 6, seed);
+    auto index = TermIndex::Build(t);
+    std::vector<uint32_t> offsets;
+    const auto invariants =
+        constraints::GenerateInvariants(t, index, {}, &offsets);
+    knowledge::KnowledgeBase kb;
+    Prng prng(seed * 131 + 5);
+    for (int k = 0; k < 5; ++k) {
+      const uint32_t q =
+          static_cast<uint32_t>(prng.NextBounded(t.num_qi_values()));
+      const uint32_t s =
+          static_cast<uint32_t>(prng.NextBounded(t.num_sa_values()));
+      kb.Add(knowledge::AbstractConditional(q, {s}, t.TrueConditional(q, s),
+                                            kRelations[k % 3]));
+    }
+    const auto knowledge_rows =
+        constraints::CompileKnowledge(kb, t, index).ValueOrDie().constraints;
+    const constraints::SystemView view(index.num_variables(), &invariants,
+                                       &offsets, nullptr, &knowledge_rows);
+    ConstraintSystem system(index.num_variables());
+    system.AddAll(invariants);
+    system.AddAll(knowledge_rows);
+    const auto analysis = ComponentAnalysis::Build(index, view);
+    const auto& coupled = analysis.coupled_components();
+
+    // The oracle: whole-system matrices and the historical routing.
+    const auto full = maxent::BuildProblem(system).ValueOrDie();
+    std::vector<std::vector<uint32_t>> eq_rows(coupled.size());
+    std::vector<std::vector<uint32_t>> ineq_rows(coupled.size());
+    uint32_t eq_row = 0, ineq_row = 0;
+    for (const auto& c : system.constraints()) {
+      const bool is_eq = c.rel == knowledge::Relation::kEq;
+      const uint32_t row = is_eq ? eq_row++ : ineq_row++;
+      for (size_t i = 0; i < c.vars.size(); ++i) {
+        if (c.coefs[i] == 0.0) continue;
+        const uint32_t k = analysis.ComponentOf(index.TermOf(c.vars[i]).bucket);
+        auto it = std::find(coupled.begin(), coupled.end(), k);
+        if (it != coupled.end()) {
+          const auto block = static_cast<size_t>(it - coupled.begin());
+          (is_eq ? eq_rows : ineq_rows)[block].push_back(row);
+        }
+        break;
+      }
+    }
+
+    for (const constraints::SystemView& rows :
+         {view, constraints::SystemView(system)}) {
+      const auto blocks =
+          maxent::RouteBlocks(index, rows, analysis, false).ValueOrDie();
+      ASSERT_EQ(blocks.size(), coupled.size());
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        std::vector<uint32_t> cols;
+        for (const uint32_t b : analysis.Buckets(coupled[i])) {
+          const auto [first, last] = index.BucketRange(b);
+          for (uint32_t v = first; v < last; ++v) cols.push_back(v);
+        }
+        EXPECT_EQ(blocks[i].cols, cols);
+        const auto sub = maxent::AssembleBlock(blocks[i]).ValueOrDie();
+        EXPECT_EQ(sub.num_vars, cols.size());
+        const auto expect_eq = full.eq.Submatrix(eq_rows[i], cols).ValueOrDie();
+        const auto expect_ineq =
+            full.ineq.Submatrix(ineq_rows[i], cols).ValueOrDie();
+        for (const auto& [got, want] :
+             {std::make_pair(&sub.eq, &expect_eq),
+              std::make_pair(&sub.ineq, &expect_ineq)}) {
+          EXPECT_EQ(got->rows(), want->rows());
+          EXPECT_EQ(got->cols(), want->cols());
+          EXPECT_EQ(got->row_offsets(), want->row_offsets());
+          EXPECT_EQ(got->col_indices(), want->col_indices());
+          EXPECT_EQ(got->values(), want->values());
+        }
+        std::vector<double> eq_rhs, ineq_rhs;
+        for (const uint32_t r : eq_rows[i]) eq_rhs.push_back(full.eq_rhs[r]);
+        for (const uint32_t r : ineq_rows[i]) {
+          ineq_rhs.push_back(full.ineq_rhs[r]);
+        }
+        EXPECT_EQ(sub.eq_rhs, eq_rhs);
+        EXPECT_EQ(sub.ineq_rhs, ineq_rhs);
+        ++blocks_checked;
+        ineq_rows_checked += ineq_rhs.size();
+      }
+    }
+  }
+  EXPECT_GT(blocks_checked, 20u);
+  EXPECT_GT(ineq_rows_checked, 10u);
+}
+
+// The artifact hashes every invariant row once at build; those
+// signatures must be exactly ConstraintRowSignature of each row, for any
+// build thread count.
+TEST(BlockAssemblyTest, ArtifactRowSignaturesMatchRecomputation) {
+  auto t = RandomTable(12, 5, 30, 7, 9);
+  for (const size_t threads : {size_t{1}, size_t{3}}) {
+    core::TableArtifactOptions options;
+    options.threads = threads;
+    const auto artifact =
+        core::TableArtifact::BuildBorrowed(t, nullptr, options).ValueOrDie();
+    const auto& rows = artifact->invariants();
+    const auto& sigs = artifact->invariant_row_signatures();
+    ASSERT_EQ(sigs.size(), rows.size());
+    ASSERT_GT(rows.size(), 0u);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(sigs[r], constraints::ConstraintRowSignature(rows[r]))
+          << "row " << r << " threads " << threads;
+    }
+    // The per-bucket offsets cover every row, bucket by bucket.
+    const auto& offsets = artifact->invariant_row_offsets();
+    ASSERT_EQ(offsets.size(), t.num_buckets() + 1);
+    EXPECT_EQ(offsets.back(), rows.size());
+    for (uint32_t b = 0; b < t.num_buckets(); ++b) {
+      for (uint32_t r = offsets[b]; r < offsets[b + 1]; ++r) {
+        EXPECT_EQ(BucketOfRow(artifact->index(), rows[r]), b);
+      }
+    }
   }
 }
 

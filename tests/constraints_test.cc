@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "anonymize/bucketized_table.h"
+#include "common/prng.h"
 #include "constraints/assignment.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
@@ -295,6 +296,73 @@ TEST(BkCompilerTest, MatchQiInstancesForMale) {
   auto matches = MatchQiInstances(stmt, bz.qi_encoder).ValueOrDie();
   std::sort(matches.begin(), matches.end());
   EXPECT_EQ(matches, (std::vector<uint32_t>{kQ1, kQ3, kQ6}));
+}
+
+// The posting-list MatchQiInstances must return exactly what a scan of
+// every interned tuple returns, in the same (ascending) order.
+std::vector<uint32_t> BruteForceMatches(
+    const knowledge::ConditionalStatement& stmt,
+    const data::TupleEncoder& encoder) {
+  std::vector<uint32_t> matches;
+  for (uint32_t q = 0; q < encoder.size(); ++q) {
+    const auto& tuple = encoder.Decode(q);
+    bool match = true;
+    for (size_t i = 0; i < stmt.attrs.size(); ++i) {
+      const size_t pos = static_cast<size_t>(
+          std::find(encoder.attrs().begin(), encoder.attrs().end(),
+                    stmt.attrs[i]) -
+          encoder.attrs().begin());
+      match = match && tuple[pos] == stmt.values[i];
+    }
+    if (match) matches.push_back(q);
+  }
+  return matches;
+}
+
+TEST(BkCompilerTest, PostingListMatchingEqualsTupleScan) {
+  // QI tuples over dataset attributes {2, 5, 7} with 4, 6 and 3 codes.
+  const std::vector<size_t> attrs = {2, 5, 7};
+  const std::vector<uint32_t> cardinality = {4, 6, 3};
+  data::TupleEncoder encoder(attrs);
+  Prng rng(20260417);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<uint32_t> codes;
+    for (const uint32_t c : cardinality) {
+      codes.push_back(static_cast<uint32_t>(rng.NextBounded(c)));
+    }
+    encoder.EncodeCodes(codes);
+  }
+  ASSERT_GT(encoder.size(), 40u);
+
+  size_t empty = 0, nonempty = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<size_t> positions = {0, 1, 2};
+    rng.Shuffle(positions);
+    positions.resize(1 + rng.NextBounded(3));  // one to three attributes
+    knowledge::ConditionalStatement stmt;
+    for (const size_t pos : positions) {
+      stmt.attrs.push_back(attrs[pos]);
+      // One value in eight never occurs in any tuple.
+      stmt.values.push_back(
+          rng.NextBounded(8) == 0
+              ? cardinality[pos] + 3
+              : static_cast<uint32_t>(rng.NextBounded(cardinality[pos])));
+    }
+    const auto matches = MatchQiInstances(stmt, encoder).ValueOrDie();
+    EXPECT_EQ(matches, BruteForceMatches(stmt, encoder)) << "trial " << trial;
+    (matches.empty() ? empty : nonempty) += 1;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(empty, 20u);
+  EXPECT_GT(nonempty, 20u);
+
+  // An attribute outside the encoder's tuple is still an error.
+  knowledge::ConditionalStatement bad;
+  bad.attrs = {2, 3};
+  bad.values = {0, 0};
+  const auto status = MatchQiInstances(bad, encoder).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("not a quasi-identifier"), std::string::npos);
 }
 
 TEST(BkCompilerTest, AbstractSection55Example) {

@@ -10,13 +10,20 @@
 #include <string_view>
 #include <vector>
 
+#include "anonymize/bucketized_table.h"
 #include "common/failpoint.h"
+#include "common/prng.h"
+#include "constraints/bk_compiler.h"
+#include "constraints/component_analysis.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
 #include "constraints/term_index.h"
+#include "core/analysis_session.h"
 #include "core/experiment.h"
+#include "core/table_artifact.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+#include "maxent/decomposed.h"
 #include "maxent/problem.h"
 #include "maxent/solution_cache.h"
 #include "maxent/solver.h"
@@ -474,6 +481,126 @@ TEST(IncrementalRobustnessTest, EvictRaceFailpointForcesFullEviction) {
   for (size_t i = 0; i < first.solver.p.size(); ++i) {
     EXPECT_DOUBLE_EQ(first.solver.p[i], second.solver.p[i]);
   }
+}
+
+// Two artifacts whose tables share the bucket shape but not the counts:
+// table B is table A with every record doubled, so both have the same
+// buckets, the same distinct QI/SA instances per bucket — the same
+// variable space — and even the same row contents (every probability is
+// unchanged), yet different content hashes. One SolutionCache serves
+// both; the per-artifact namespace must keep their blocks apart, while
+// an edit on one artifact still warm-starts from its own entries with
+// every unedited row's multiplier — invariant rows included — carried
+// over by the precomputed row signatures.
+TEST(CacheIsolationTest, SameShapeArtifactsShareOneCacheWithoutCrossHits) {
+  Prng prng(77);
+  std::vector<anonymize::AbstractRecord> records;
+  for (uint32_t b = 0; b < 8; ++b) {
+    for (int r = 0; r < 5; ++r) {
+      anonymize::AbstractRecord rec;
+      rec.qi = static_cast<uint32_t>(prng.NextBounded(12));
+      rec.sa = static_cast<uint32_t>(prng.NextBounded(4));
+      rec.bucket = b;
+      records.push_back(rec);
+    }
+  }
+  std::vector<anonymize::AbstractRecord> doubled = records;
+  doubled.insert(doubled.end(), records.begin(), records.end());
+  // Dense instance ids: renumber by first appearance (shared by both).
+  std::vector<int64_t> qi_map(12, -1), sa_map(4, -1);
+  uint32_t next_qi = 0, next_sa = 0;
+  for (auto* table_records : {&records, &doubled}) {
+    for (auto& rec : *table_records) {
+      if (qi_map[rec.qi] < 0) qi_map[rec.qi] = next_qi++;
+      if (sa_map[rec.sa] < 0) sa_map[rec.sa] = next_sa++;
+    }
+  }
+  for (auto* table_records : {&records, &doubled}) {
+    for (auto& rec : *table_records) {
+      rec.qi = static_cast<uint32_t>(qi_map[rec.qi]);
+      rec.sa = static_cast<uint32_t>(sa_map[rec.sa]);
+    }
+  }
+  const auto table_a = anonymize::BucketizedTable::Create(records).ValueOrDie();
+  const auto table_b = anonymize::BucketizedTable::Create(doubled).ValueOrDie();
+  const auto a = core::TableArtifact::BuildBorrowed(table_a).ValueOrDie();
+  const auto b = core::TableArtifact::BuildBorrowed(table_b).ValueOrDie();
+  ASSERT_EQ(a->index().num_variables(), b->index().num_variables());
+  ASSERT_NE(a->content_hash(), b->content_hash());
+  ASSERT_EQ(a->invariant_row_signatures(), b->invariant_row_signatures());
+
+  // Statements on QI instances that span buckets, at their true
+  // conditionals (feasible on both tables).
+  knowledge::KnowledgeBase kb;
+  for (uint32_t q = 0; q < table_a.num_qi_values() && kb.size() < 3; ++q) {
+    if (table_a.BucketsWithQi(q).size() < 2) continue;
+    const uint32_t s = table_a.records()[0].sa;
+    const double c = table_a.TrueConditional(q, s);
+    if (c <= 0.05 || c >= 0.95) continue;
+    kb.Add(knowledge::AbstractConditional(q, {s}, c));
+  }
+  ASSERT_GE(kb.size(), 2u);
+
+  SolutionCache cache;
+  core::AnalysisOptions options;
+  options.solver_options.threads = 1;
+  options.solver_options.solution_cache = &cache;
+  options.solver_options.cache_mode = CacheMode::kWarm;
+  const core::AnalysisSession session_a(a, options);
+  const core::AnalysisSession session_b(b, options);
+
+  const auto first_a = session_a.Run(kb).ValueOrDie();
+  const size_t blocks = first_a.decomposition.num_coupled_components;
+  ASSERT_GT(blocks, 0u);
+  EXPECT_EQ(first_a.solver.cache_misses, blocks);
+  // Identical rows, other artifact: no exact hit, no warm start.
+  const auto first_b = session_b.Run(kb).ValueOrDie();
+  EXPECT_EQ(first_b.solver.cache_exact_hits, 0u);
+  EXPECT_EQ(first_b.solver.cache_warm_hits, 0u);
+  EXPECT_EQ(first_b.solver.cache_misses, blocks);
+  // Each artifact's own entries still answer its reruns.
+  EXPECT_EQ(session_a.Run(kb).ValueOrDie().solver.cache_exact_hits, blocks);
+  EXPECT_EQ(session_b.Run(kb).ValueOrDie().solver.cache_exact_hits, blocks);
+
+  // A one-statement edit on artifact A warm-starts the edited block.
+  knowledge::KnowledgeBase edited;
+  for (size_t i = 0; i < kb.size(); ++i) {
+    knowledge::ConditionalStatement stmt = kb.conditionals()[i];
+    if (i == 0) stmt.probability += 0.01;
+    edited.Add(stmt);
+  }
+  const auto warm = session_a.Run(edited).ValueOrDie();
+  EXPECT_EQ(warm.solver.cache_warm_hits, 1u);
+  EXPECT_EQ(warm.solver.cache_exact_hits, blocks - 1);
+
+  // Every row of the warm-started block but the edited statement's kept
+  // its multiplier.
+  const auto compiled = constraints::CompileKnowledge(
+                            edited, table_a, a->index())
+                            .ValueOrDie()
+                            .constraints;
+  const auto components = constraints::ComponentAnalysis::Extend(
+      a->base_components(), a->index(), compiled);
+  const auto routed =
+      maxent::RouteBlocks(a->index(), a->InvariantView(&compiled), components,
+                          false)
+          .ValueOrDie();
+  size_t warm_blocks = 0;
+  for (const auto& outcome : warm.solver.component_outcomes) {
+    if (outcome.cache != maxent::CacheOutcome::kWarmStart) continue;
+    ++warm_blocks;
+    const auto& block = routed[outcome.block];
+    size_t knowledge_rows = 0;
+    for (const auto* row : block.eq_rows) {
+      if (row->source == constraints::ConstraintSource::kBackground) {
+        ++knowledge_rows;
+      }
+    }
+    ASSERT_GT(block.eq_rows.size(), knowledge_rows);  // invariant rows too
+    EXPECT_EQ(outcome.warm_start_rows,
+              block.eq_rows.size() + block.ineq_rows.size() - 1);
+  }
+  EXPECT_EQ(warm_blocks, 1u);
 }
 
 }  // namespace

@@ -99,6 +99,32 @@ TEST(SparseMatrixTest, SubmatrixSelectsAndReorders) {
   EXPECT_DOUBLE_EQ(sub.At(1, 1), 3.0);
 }
 
+TEST(SparseMatrixTest, FromCsrAdoptsCanonicalRowsAndRejectsOthers) {
+  // [[1 0 2], [0 0 0], [0 3 0]]
+  auto m = SparseMatrix::FromCsr(3, 3, {0, 2, 2, 3}, {0, 2, 1},
+                                 {1.0, 2.0, 3.0})
+               .ValueOrDie();
+  EXPECT_EQ(m.nnz(), 3u);
+  EXPECT_EQ(m.ToDense(), (std::vector<std::vector<double>>{
+                             {1.0, 0.0, 2.0}, {0.0, 0.0, 0.0},
+                             {0.0, 3.0, 0.0}}));
+  const auto code = [](Result<SparseMatrix> r) { return r.status().code(); };
+  // Offsets of the wrong length, decreasing, or not ending at nnz.
+  EXPECT_EQ(code(SparseMatrix::FromCsr(2, 3, {0, 1}, {0}, {1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(SparseMatrix::FromCsr(2, 3, {0, 2, 1}, {0, 1}, {1.0, 1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(SparseMatrix::FromCsr(1, 3, {0, 1}, {0, 1}, {1.0, 1.0})),
+            StatusCode::kInvalidArgument);
+  // A column out of range, repeated, or out of order.
+  EXPECT_EQ(code(SparseMatrix::FromCsr(1, 3, {0, 1}, {3}, {1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(SparseMatrix::FromCsr(1, 3, {0, 2}, {1, 1}, {1.0, 1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(SparseMatrix::FromCsr(1, 3, {0, 2}, {2, 0}, {1.0, 1.0})),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SparseMatrixBuilderTest, BuildsRowsIncrementally) {
   SparseMatrixBuilder builder(4);
   builder.BeginRow();

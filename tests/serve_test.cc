@@ -269,8 +269,13 @@ TEST_F(ServeEndToEndTest, StatsVerbReflectsAJustServedRequest) {
 
 TEST_F(ServeEndToEndTest, TraceFlagAttachesSpanBreakdown) {
   auto client = Connect();
+  // The inequality form of a mined rule: no other request sends it, so
+  // its block misses the shared cache and the trace covers the whole
+  // route → cache lookup → assemble → solve path.
+  std::string statement = Statement(4);
+  statement.replace(statement.rfind(" = "), 3, " <= ");
   const auto reply = client.Call(R"({"id":"tr","trace":true,"knowledge":[")" +
-                                 Statement(4) + R"("]})");
+                                 statement + R"("]})");
   ASSERT_TRUE(reply.ok());
   const JsonValue json = Parse(reply.value());
   EXPECT_TRUE(json.Find("ok")->bool_value);
@@ -289,13 +294,15 @@ TEST_F(ServeEndToEndTest, TraceFlagAttachesSpanBreakdown) {
   const auto has = [&names](const char* name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
-  // The full request lifecycle: framing parse, the session wrapper, and
-  // its compile/solve/evaluate stages.
-  EXPECT_TRUE(has("parse")) << reply.value();
-  EXPECT_TRUE(has("session_run")) << reply.value();
-  EXPECT_TRUE(has("compile")) << reply.value();
-  EXPECT_TRUE(has("solve")) << reply.value();
-  EXPECT_TRUE(has("evaluate")) << reply.value();
+  // The full request lifecycle: framing parse, the session wrapper, its
+  // compile/extend/solve/evaluate stages, and inside the decomposed solve
+  // the routing, the cache lookup and the per-block assembly.
+  for (const char* name :
+       {"parse", "session_run", "compile", "extend", "solve", "evaluate",
+        "solve_decomposed", "route", "cache_lookup", "solve_block",
+        "assemble"}) {
+    EXPECT_TRUE(has(name)) << name << " missing from " << reply.value();
+  }
 
   // Without the flag the response carries no trace key.
   const auto plain = client.Call(R"({"id":"nt","knowledge":[")" +

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/component_analysis.h"
@@ -152,6 +153,38 @@ TEST_F(SessionTest, SharedPoolMatchesPrivatePool) {
             via_pool.solver.components_failed);
 }
 
+// A request whose every block is an exact cache hit hands no task to the
+// shared pool: nothing is left to solve, so no worker is woken.
+TEST_F(SessionTest, ExactHitsSubmitNoPoolTasks) {
+  const knowledge::KnowledgeBase kb = RuleKb(12, 12);
+  const auto artifact = BuildArtifact();
+  maxent::SolutionCache cache;
+  const metrics::Counter& tasks =
+      metrics::Registry::Global().GetCounter("pool.tasks");
+
+  // Each pool is joined before the counter is read, so every task it ran
+  // has been counted.
+  const auto run = [&]() {
+    ThreadPool pool(4);
+    AnalysisOptions options;
+    options.solver_options.pool = &pool;
+    options.solver_options.solution_cache = &cache;
+    return AnalysisSession(artifact, options).Run(kb).ValueOrDie();
+  };
+  const uint64_t before_cold = tasks.Value();
+  const auto cold = run();
+  const uint64_t before_warm = tasks.Value();
+  const auto warm = run();
+  const uint64_t after_warm = tasks.Value();
+
+  ASSERT_GT(cold.solver.component_outcomes.size(), 0u);
+  EXPECT_EQ(before_warm - before_cold, cold.solver.component_outcomes.size());
+  EXPECT_EQ(warm.solver.cache_exact_hits,
+            warm.solver.component_outcomes.size());
+  EXPECT_EQ(after_warm, before_warm);
+  EXPECT_EQ(MaxPosteriorDiff(cold.posterior, warm.posterior), 0.0);
+}
+
 // (b) Independence: sessions with different knowledge bases share one
 // artifact, one solution cache, and one worker pool, run concurrently,
 // and each must keep producing exactly its own single-threaded answer.
@@ -254,13 +287,19 @@ TEST_F(SessionTest, ExtendMatchesBuildOnConcatenatedSystem) {
 
   ASSERT_EQ(extended.num_components(), rebuilt.num_components());
   EXPECT_EQ(extended.num_coupled(), rebuilt.num_coupled());
+  EXPECT_EQ(extended.coupled_components(), rebuilt.coupled_components());
   const size_t num_buckets = artifact->table().num_buckets();
   for (uint32_t b = 0; b < num_buckets; ++b) {
     EXPECT_EQ(extended.ComponentOf(b), rebuilt.ComponentOf(b)) << "bucket "
                                                                << b;
   }
   for (size_t c = 0; c < extended.num_components(); ++c) {
-    EXPECT_EQ(extended.components()[c].buckets, rebuilt.components()[c].buckets)
+    const auto extended_buckets = extended.Buckets(c);
+    const auto rebuilt_buckets = rebuilt.Buckets(c);
+    EXPECT_EQ(std::vector<uint32_t>(extended_buckets.begin(),
+                                    extended_buckets.end()),
+              std::vector<uint32_t>(rebuilt_buckets.begin(),
+                                    rebuilt_buckets.end()))
         << "component " << c;
     EXPECT_EQ(extended.components()[c].coupled, rebuilt.components()[c].coupled)
         << "component " << c;
@@ -284,12 +323,12 @@ TEST_F(SessionTest, KnowledgeFreeRunMatchesLegacy) {
   EXPECT_EQ(via_session.decomposition.num_coupled_components, 0u);
 }
 
-// The session's incremental evaluation — prior posterior copied from the
-// artifact with only the knowledge-touched q rows recomputed, per-q
-// metric slices re-aggregated — must reproduce a from-scratch rebuild of
-// posterior, accuracy, and metrics off the same joint solution exactly
-// (the touched rows replay the identical arithmetic; untouched rows are
-// untouched by construction).
+// The session's incremental evaluation — only the knowledge-touched q
+// rows recomputed and overlaid on the artifact's shared prior posterior,
+// per-q metric slices re-aggregated through the same overlay — must
+// reproduce a from-scratch rebuild of posterior, accuracy, and metrics
+// off the same joint solution exactly (the touched rows replay the
+// identical arithmetic; untouched rows are untouched by construction).
 TEST_F(SessionTest, IncrementalEvaluationMatchesFullRebuild) {
   const auto artifact = BuildArtifact();
   // Sparse knowledge, and knowledge dense enough that one coupled
