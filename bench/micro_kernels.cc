@@ -245,7 +245,8 @@ void BM_LnLibm(benchmark::State& state) {
 BENCHMARK(BM_LnLibm)->Arg(4096)->Arg(65536);
 
 void BM_Ln(benchmark::State& state) {
-  // Batched natural log (the GIS multiplier update, entropy deltas).
+  // Batched natural log (the vector core NegXLogXSum and KlDivergence
+  // share).
   const size_t n = static_cast<size_t>(state.range(0));
   SimdModeGuard guard(ModeFromArg(state.range(1)));
   pme::Prng prng(29);

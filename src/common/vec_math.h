@@ -115,10 +115,11 @@ double ExpM1SumInPlace(Span x);
 /// pass; `shift` is the max element).
 double SumExpShifted(ConstSpan x, double shift);
 
-/// y_i = ln(x_i), the batched natural log behind Entropy/KlDivergence and
-/// the GIS multiplier update. IEEE special cases match libm: ln(0) = -inf,
-/// ln(x<0) = NaN, ln(inf) = inf, NaN propagates; denormals are
-/// renormalized, not flushed. In-place use (x.data == y.data) is allowed.
+/// y_i = ln(x_i), the batched natural log; its vector core is the one
+/// NegXLogXSum and KlDivergence share. IEEE special cases match libm:
+/// ln(0) = -inf, ln(x<0) = NaN, ln(inf) = inf, NaN propagates; denormals
+/// are renormalized, not flushed. In-place use (x.data == y.data) is
+/// allowed.
 void Ln(ConstSpan x, Span y);
 
 /// -Σ_i v_i ln v_i with the 0·ln 0 = 0 convention (entropy accumulation).

@@ -7,13 +7,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/status.h"
-
 namespace pme::linalg {
 
 /// Row-major dense matrix used where problems are small by construction:
 /// per-bucket invariant matrices (a bucket holds ℓ records, so g+h ≤ 2ℓ
-/// rows) and the Newton solver's Hessian.
+/// rows), whose rank checks verify the paper's Conciseness and
+/// Completeness theorems.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -55,13 +54,6 @@ class DenseMatrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Solves the symmetric positive-definite system `A x = b` via Cholesky
-/// factorization (A = L Lᵀ). Returns kNumericalError if A is not SPD
-/// (within `jitter` added to the diagonal for regularization).
-Result<std::vector<double>> CholeskySolve(const DenseMatrix& a,
-                                          const std::vector<double>& b,
-                                          double jitter = 0.0);
 
 }  // namespace pme::linalg
 

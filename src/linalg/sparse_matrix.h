@@ -83,7 +83,7 @@ class SparseMatrix {
   /// Element lookup (O(row nnz)); 0.0 for structural zeros.
   double At(size_t row, size_t col) const;
 
-  /// Dense copy (testing / small-problem Newton solver).
+  /// Dense copy (testing).
   std::vector<std::vector<double>> ToDense() const;
 
   /// Extracts a submatrix containing the given rows and columns, in the

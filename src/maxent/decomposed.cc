@@ -631,7 +631,7 @@ Result<SolverResult> SolveDecomposed(
       continue;
     }
 
-    const bool usable = sub != nullptr && IsAcceptable(*sub, options);
+    const bool usable = sub != nullptr && IsAcceptable(*sub);
     if (usable) {
       const auto& cols = blocks[i].cols;
       for (size_t j = 0; j < cols.size(); ++j) result.p[cols[j]] = sub->p[j];
@@ -713,7 +713,7 @@ Result<SolverResult> SolveDecomposed(
       if (exact_hits[i] != nullptr) continue;
       if (!block_results[i].has_value() || !block_results[i]->ok()) continue;
       const SolverResult& sub = block_results[i]->value();
-      if (!IsAcceptable(sub, options)) continue;
+      if (!IsAcceptable(sub)) continue;
       CachedComponentSolution entry;
       entry.p = sub.p;
       entry.lambda_full = sub.dual_lambda_full;

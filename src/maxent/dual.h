@@ -67,11 +67,6 @@ class DualFunction {
   /// The primal iterate p(λ) alone.
   std::vector<double> Primal(const std::vector<double>& lambda) const;
 
-  /// The constraint matrix A (needed by iterative-scaling solvers for
-  /// column sums) and RHS b.
-  const linalg::SparseMatrix& matrix() const { return *a_; }
-  kernels::ConstSpan rhs() const { return b_; }
-
  private:
   const linalg::SparseMatrix* a_;
   kernels::ConstSpan b_;

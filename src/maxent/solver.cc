@@ -13,6 +13,9 @@
 namespace pme::maxent {
 namespace {
 
+/// IsAcceptable's bound on an unconverged answer's worst violation.
+constexpr double kAcceptViolation = 1e-6;
+
 /// Stacks equality rows above inequality rows into a single matrix for
 /// the projected (sign-constrained) dual.
 Result<linalg::SparseMatrix> StackMatrices(const linalg::SparseMatrix& eq,
@@ -79,14 +82,6 @@ const char* SolverKindToString(SolverKind kind) {
   switch (kind) {
     case SolverKind::kLbfgs:
       return "lbfgs";
-    case SolverKind::kGis:
-      return "gis";
-    case SolverKind::kIis:
-      return "iis";
-    case SolverKind::kSteepest:
-      return "steepest";
-    case SolverKind::kNewton:
-      return "newton";
     case SolverKind::kProjected:
       return "projected";
   }
@@ -94,9 +89,7 @@ const char* SolverKindToString(SolverKind kind) {
 }
 
 Result<SolverKind> ParseSolverKind(const std::string& name) {
-  for (SolverKind kind :
-       {SolverKind::kLbfgs, SolverKind::kGis, SolverKind::kIis,
-        SolverKind::kSteepest, SolverKind::kNewton, SolverKind::kProjected}) {
+  for (SolverKind kind : {SolverKind::kLbfgs, SolverKind::kProjected}) {
     if (name == SolverKindToString(kind)) return kind;
   }
   return Status::InvalidArgument("unknown solver: " + name);
@@ -189,26 +182,6 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
                                internal::MinimizeLbfgs(dual, solve_options));
           break;
         }
-        case SolverKind::kGis: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeGis(dual, solve_options));
-          break;
-        }
-        case SolverKind::kIis: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeIis(dual, solve_options));
-          break;
-        }
-        case SolverKind::kSteepest: {
-          PME_ASSIGN_OR_RETURN(
-              outcome, internal::MinimizeSteepest(dual, solve_options));
-          break;
-        }
-        case SolverKind::kNewton: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeNewton(dual, solve_options));
-          break;
-        }
         case SolverKind::kProjected: {
           // No inequality rows: the box is all of R^m and this is plain
           // Barzilai–Borwein gradient descent — the fallback chain's
@@ -268,23 +241,20 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   return result;
 }
 
-bool IsAcceptable(const SolverResult& result, const SolverOptions& options) {
+bool IsAcceptable(const SolverResult& result) {
   if (result.termination != StatusCode::kOk) return false;
   if (!std::isfinite(result.max_violation)) return false;
-  return result.converged ||
-         result.max_violation <= options.fallback_accept_violation;
+  return result.converged || result.max_violation <= kAcceptViolation;
 }
 
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,
                                        size_t* attempts) {
-  // The ladder: requested solver, projected-gradient restart (from the
-  // best dual point so far), GIS. Later rungs trade convergence speed
-  // for robustness — no curvature memory to poison, monotone updates.
+  // The ladder: the requested solver, then a projected-gradient restart
+  // from its dual point — no curvature memory to poison.
   std::vector<SolverKind> ladder = {kind};
   if (kind != SolverKind::kProjected) ladder.push_back(SolverKind::kProjected);
-  if (kind != SolverKind::kGis) ladder.push_back(SolverKind::kGis);
 
   std::optional<SolverResult> best;  // finite attempt with least violation
   std::vector<double> warm;
@@ -292,7 +262,6 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
   size_t tried = 0;
   Status hard_error = Status::Ok();
   for (SolverKind rung : ladder) {
-    if (tried >= options.max_fallback_attempts) break;
     if (tried > 0 && CheckInterrupt(options.deadline, options.cancel) !=
                          StatusCode::kOk) {
       break;  // no budget left to retry with
@@ -300,13 +269,12 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
     ++tried;
     auto attempt = Solve(problem, rung, rung_options);
     if (!attempt.ok()) {
-      // Precondition/structural failure of this rung (e.g. GIS on
-      // negative coefficients); the next rung may still apply.
+      // Structural failure of this rung; the next rung may still apply.
       hard_error = attempt.status();
       continue;
     }
     SolverResult result = std::move(attempt).value();
-    if (IsAcceptable(result, options)) {
+    if (IsAcceptable(result)) {
       result.degraded = tried > 1;
       if (attempts != nullptr) *attempts = tried;
       return result;

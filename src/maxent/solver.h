@@ -19,25 +19,20 @@ class ThreadPool;  // common/thread_pool.h
 
 namespace pme::maxent {
 
-/// Available dual minimizers. The paper's implementation uses LBFGS
-/// (Nocedal [16]); GIS [8], IIS [20], steepest descent and Newton's method
-/// are provided for the Malouf-style solver comparison ([18], Section 3.3).
-/// kProjected is the Barzilai–Borwein projected-gradient solver — always
-/// used for inequality problems, selectable for equality-only ones as
-/// the fallback chain's restart rung (robust, no curvature memory to
-/// poison).
+/// Available dual minimizers. kLbfgs is the paper's solver (Nocedal [16];
+/// chosen over iterative scaling, steepest descent and Newton by Malouf's
+/// comparison [18], Section 3.3) and every caller's default. kProjected
+/// is the Barzilai–Borwein projected-gradient solver — always used for
+/// inequality problems, selectable for equality-only ones, and the
+/// fallback ladder's restart rung (no curvature memory to poison).
 enum class SolverKind : int {
   kLbfgs = 0,
-  kGis = 1,
-  kIis = 2,
-  kSteepest = 3,
-  kNewton = 4,
-  kProjected = 5,
+  kProjected = 1,
 };
 
 const char* SolverKindToString(SolverKind kind);
 
-/// Inverse of SolverKindToString ("lbfgs", "gis", ...): the one parser
+/// Inverse of SolverKindToString ("lbfgs", "projected"): the one parser
 /// behind the CLI flags and the serve protocol. kInvalidArgument for an
 /// unknown name.
 Result<SolverKind> ParseSolverKind(const std::string& name);
@@ -95,14 +90,10 @@ struct SolverOptions {
   /// Consecutive stalled-but-accepted steps before the solve stops with
   /// the current iterate (converged iff the tolerance was already met).
   size_t max_stall_iterations = 50;
-  /// Diagonal regularization for the Newton solver's Hessian.
-  double newton_jitter = 1e-9;
   /// Run the structural presolve (zero forcing / singleton substitution)
   /// before the iterative solve. Strongly recommended: hard zeros in the
   /// constraints otherwise require unbounded multipliers.
   bool presolve = true;
-  /// Dual dimension above which the dense Newton solver refuses to run.
-  size_t newton_max_dim = 4000;
   /// Worker threads for the block-decomposed solve (SolveDecomposed):
   /// independent connected components are solved concurrently. 1 = serial;
   /// 0 = hardware concurrency. Results are identical for any value — the
@@ -129,9 +120,9 @@ struct SolverOptions {
   /// Optional warm start for the dual multipliers, in the reduced
   /// (post-presolve) row space. Ignored when the size does not match the
   /// reduced dual dimension or any entry is non-finite. Not owned; must
-  /// outlive the Solve call. Used by the fallback chain to restart the
-  /// next rung from the best point so far, and by warm-started
-  /// re-analysis.
+  /// outlive the Solve call. Used by the fallback ladder to restart the
+  /// projected rung from the first rung's dual point, and by
+  /// warm-started re-analysis.
   const std::vector<double>* warm_start = nullptr;
   /// Like `warm_start`, but in the problem's *original* stacked row
   /// space — equality rows first (matrix row order), inequality rows
@@ -174,19 +165,11 @@ struct SolverOptions {
   Hash128 cache_namespace{};
   /// SolveDecomposed: when a component's solve fails (non-finite
   /// iterate, injected fault, deadline, hard error), walk it down the
-  /// degradation ladder — projected-gradient restart from best-so-far,
-  /// then iterative scaling, then the closed-form no-knowledge prior —
+  /// degradation ladder — projected-gradient restart from the requested
+  /// solver's dual point, then the closed-form no-knowledge prior —
   /// instead of failing the whole analysis. Off restores fail-fast
   /// propagation of the first component error.
   bool fallback = true;
-  /// Iterative rungs tried per component (the requested solver counts as
-  /// the first) before degrading to the closed-form prior.
-  size_t max_fallback_attempts = 3;
-  /// A fallback rung's answer is accepted when it converged, or when its
-  /// worst constraint violation is at or below this bound (a solve that
-  /// exhausted its budget a few ulps above `tolerance` is still a
-  /// perfectly good posterior).
-  double fallback_accept_violation = 1e-6;
 };
 
 /// Per-component record of the decomposed solve's fallback ladder.
@@ -259,7 +242,7 @@ struct SolverResult {
   StatusCode termination = StatusCode::kOk;
   /// The dual multipliers of the reduced (post-presolve) problem — the
   /// warm-start payload for SolverOptions::warm_start. Populated by
-  /// every solver kind, converged or not (iterative scaling included).
+  /// every solver kind, converged or not.
   /// Empty for decomposed solves (block duals do not concatenate
   /// meaningfully; per-block duals live in the solution cache).
   std::vector<double> dual_lambda;
@@ -299,7 +282,7 @@ struct SolverResult {
 /// Equality-only problems use the requested `kind` directly. Problems with
 /// inequality rows (Section 4.5 / Kazama–Tsujii) are solved by projected
 /// gradient on the stacked dual with sign-constrained multipliers,
-/// regardless of `kind` (GIS/IIS/Newton have no inequality variants here).
+/// regardless of `kind` (LBFGS has no inequality variant here).
 ///
 /// Returns kNotConverged (with the best iterate embedded in the message)
 /// only for genuinely failed solves; hitting max_iterations with a small
@@ -309,18 +292,21 @@ Result<SolverResult> Solve(const MaxEntProblem& problem,
                            const SolverOptions& options = {});
 
 /// Accepts `result` as an answer: a normal termination that either met
-/// the tolerance or left a violation within fallback_accept_violation.
-bool IsAcceptable(const SolverResult& result, const SolverOptions& options);
+/// the tolerance or left a worst constraint violation of at most 1e-6 (a
+/// solve that exhausted its budget a few ulps above the tolerance is
+/// still a perfectly good posterior).
+bool IsAcceptable(const SolverResult& result);
 
 /// The per-problem degradation ladder used by SolveDecomposed: the
-/// requested solver first, then a projected-gradient restart warm-started
-/// from the best dual point so far, then GIS — bounded by
-/// options.max_fallback_attempts and options.deadline. Returns the first
-/// acceptable rung's result (`degraded` set when it was not the first
-/// rung). When no rung is acceptable, returns the finite attempt with the
-/// smallest violation, its `termination` explaining why (recoverable
-/// failures never surface as an error Status; hard errors from every rung
-/// do). `attempts`, when non-null, receives the number of rungs tried.
+/// requested solver first, then — unless projected was requested — a
+/// projected-gradient restart warm-started from the first rung's dual
+/// point, skipped once options.deadline or options.cancel has fired.
+/// Returns the first acceptable rung's result (`degraded` set when it was
+/// not the first rung). When no rung is acceptable, returns the finite
+/// attempt with the smallest violation, its `termination` explaining why
+/// (recoverable failures never surface as an error Status; hard errors
+/// from every rung do). `attempts`, when non-null, receives the number of
+/// rungs tried.
 Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
                                        SolverKind kind,
                                        const SolverOptions& options,

@@ -1,7 +1,8 @@
 // Copyright 2026 The Privacy-MaxEnt Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Internal dual minimizers. Public entry point is maxent/solver.h.
+// Internal dual minimizers (LBFGS and projected Barzilai–Borwein).
+// Public entry point is maxent/solver.h.
 
 #ifndef PME_MAXENT_SOLVERS_INTERNAL_H_
 #define PME_MAXENT_SOLVERS_INTERNAL_H_
@@ -82,26 +83,6 @@ struct DualOutcome {
 /// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
                                   const SolverOptions& options);
-
-/// Generalized Iterative Scaling (Darroch & Ratcliff). Requires
-/// nonnegative coefficients and strictly positive RHS entries.
-Result<DualOutcome> MinimizeGis(const DualFunction& dual,
-                                const SolverOptions& options);
-
-/// Improved Iterative Scaling (Della Pietra et al.). Requires
-/// nonnegative coefficients and strictly positive RHS entries; solves a
-/// one-dimensional Newton problem per constraint per sweep.
-Result<DualOutcome> MinimizeIis(const DualFunction& dual,
-                                const SolverOptions& options);
-
-/// Steepest descent with backtracking line search.
-Result<DualOutcome> MinimizeSteepest(const DualFunction& dual,
-                                     const SolverOptions& options);
-
-/// Damped Newton with dense Cholesky on H = A diag(p) Aᵀ. Refuses duals
-/// larger than options.newton_max_dim.
-Result<DualOutcome> MinimizeNewton(const DualFunction& dual,
-                                   const SolverOptions& options);
 
 /// Projected gradient (Barzilai–Borwein step + projected Armijo) for the
 /// stacked equality+inequality dual: multipliers with index >= num_eq are

@@ -53,8 +53,7 @@ void PrintUsage(std::FILE* out) {
                "  mine     --data=FILE --sensitive=ATTR [--top=N]\n"
                "           [--minsupport=N] [--maxattrs=T]\n"
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
-               "           [--knowledge=FILE] [--solver=lbfgs|gis|iis|"
-               "steepest|newton|projected]\n"
+               "           [--knowledge=FILE] [--solver=lbfgs|projected]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
                "           [--deadline-ms=N] [--fallback=on|off]\n"
                "           [--cache=off|exact|warm] [--cache-mb=N] "
