@@ -56,8 +56,5 @@ int main(int argc, char** argv) {
              analysis.solver.seconds,
              static_cast<double>(analysis.solver.iterations)});
   }
-  std::printf(
-      "# shape check: time/iterations grow slowly (log-linear) in the "
-      "constraint count.\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the kernels the figure benches lean
-// on: CSR products, the dual evaluation (legacy and fused/allocation-free),
-// term indexing, invariant generation, rule mining, the Anatomy
-// partitioner and the closed form.
+// on: CSR products, the allocation-free dual evaluation, term indexing,
+// invariant generation, rule mining, the Anatomy partitioner and the
+// closed form.
 //
 // --json=PATH additionally writes {name, iterations, seconds_per_iter}
 // per benchmark for the BENCH_*.json perf trajectory; remaining flags are
@@ -73,18 +73,13 @@ void BM_AnatomyPartition(benchmark::State& state) {
 BENCHMARK(BM_AnatomyPartition)->Arg(1000)->Arg(10000);
 
 void BM_TermIndexBuild(benchmark::State& state) {
-  // range(1) = worker threads for the sharded build (1 = serial).
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
-  const size_t threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    auto index = pme::constraints::TermIndex::Build(bz.table, threads);
+    auto index = pme::constraints::TermIndex::Build(bz.table);
     benchmark::DoNotOptimize(index.num_variables());
   }
 }
-BENCHMARK(BM_TermIndexBuild)
-    ->Args({1000, 1})
-    ->Args({10000, 1})
-    ->Args({10000, 4});
+BENCHMARK(BM_TermIndexBuild)->Arg(1000)->Arg(10000);
 
 void BM_InvariantGeneration(benchmark::State& state) {
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
@@ -111,29 +106,10 @@ void BM_RuleMining(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleMining)->Arg(1)->Arg(2)->Arg(3);
 
-void BM_DualEvaluate(benchmark::State& state) {
-  auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
-  auto index = pme::constraints::TermIndex::Build(bz.table);
-  pme::constraints::ConstraintSystem system(index.num_variables());
-  system.AddAll(pme::constraints::GenerateInvariants(bz.table, index));
-  auto problem = pme::maxent::BuildProblem(system).ValueOrDie();
-  pme::maxent::DualFunction dual(&problem.eq, problem.eq_rhs);
-  std::vector<double> lambda(dual.dim(), 0.1), grad;
-  for (auto _ : state) {
-    double v = dual.Evaluate(lambda, &grad, nullptr);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(problem.eq.nnz()));
-}
-// The 100-record point is the block-decomposition regime: tiny duals
-// where per-call allocation is a visible fraction of the kernel.
-BENCHMARK(BM_DualEvaluate)->Arg(100)->Arg(1000)->Arg(10000);
-
 void BM_DualEvaluateFused(benchmark::State& state) {
-  // The solver hot path: EvaluateInto against a persistent workspace.
-  // After the first call every iteration is allocation-free, which is
-  // what separates this curve from BM_DualEvaluate's.
+  // The solver hot path: EvaluateInto against a persistent workspace, so
+  // after the first call every iteration is allocation-free. The
+  // 100-record point is the block-decomposition regime of tiny duals.
   auto bz = MakeBucketization(static_cast<size_t>(state.range(0)));
   auto index = pme::constraints::TermIndex::Build(bz.table);
   pme::constraints::ConstraintSystem system(index.num_variables());

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -15,11 +16,9 @@ Flags::Flags(int argc, char** argv) {
     }
     std::string body = arg.substr(2);
     auto eq = body.find('=');
-    if (eq != std::string::npos) {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
-    } else {
-      values_[body] = "true";
-    }
+    given_.push_back(body.substr(0, eq));
+    values_[given_.back()] =
+        eq != std::string::npos ? body.substr(eq + 1) : "true";
   }
   const char* full_env = std::getenv("PME_FULL");
   if (full_env != nullptr && std::string(full_env) != "0" &&
@@ -58,6 +57,15 @@ bool Flags::GetBool(const std::string& name, bool default_value) const {
 
 bool Flags::Has(const std::string& name) const {
   return values_.find(name) != values_.end();
+}
+
+Status Flags::CheckAccepted(const std::vector<std::string>& accepted) const {
+  for (const std::string& name : given_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace pme

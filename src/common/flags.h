@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace pme {
 
 /// Minimal command-line flag parser used by benches and examples.
@@ -34,11 +36,18 @@ class Flags {
   /// True when a flag was explicitly supplied.
   bool Has(const std::string& name) const;
 
+  /// Ok when every flag given on the command line is in `accepted`;
+  /// otherwise kInvalidArgument naming the first one that is not, so a
+  /// typo or a retired flag fails loudly instead of being ignored.
+  /// PME_FULL's implied `--full` is not a command-line flag.
+  Status CheckAccepted(const std::vector<std::string>& accepted) const;
+
   /// Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> given_;  // flag names from argv, in order
   std::vector<std::string> positional_;
 };
 

@@ -1,53 +1,35 @@
 #include "constraints/term_index.h"
 
 #include <algorithm>
-
-#include "common/thread_pool.h"
+#include <iterator>
 
 namespace pme::constraints {
 
 TermIndex TermIndex::Build(const anonymize::BucketizedTable& table,
-                           size_t threads) {
+                           size_t /*threads*/) {
   TermIndex index;
   const size_t m = table.num_buckets();
   index.bucket_qi_.resize(m);
   index.bucket_sa_.resize(m);
   index.bucket_offsets_.assign(m + 1, 0);
-
-  // Phase 1 (parallel): per-bucket distinct instance lists. Each bucket
-  // writes only its own slots; bucket_offsets_[b + 1] temporarily holds
-  // the bucket's term count.
-  // The shard tasks below touch only std containers and never throw in
-  // practice; the ParallelFor statuses exist for callers whose tasks can
-  // fail (the decomposed solver) and are vacuous here.
-  const size_t workers = ThreadPool::ResolveThreads(threads);
-  (void)ThreadPool::ParallelFor(workers, m, [&](size_t b) {
+  for (size_t b = 0; b < m; ++b) {
+    // Distinct instances from the bucket's published multisets: flat
+    // vectors, cheaper to walk than the per-bucket count maps.
     auto& qis = index.bucket_qi_[b];
     auto& sas = index.bucket_sa_[b];
-    for (const auto& [q, cnt] : table.BucketQiCounts(b)) qis.push_back(q);
-    for (const auto& [s, cnt] : table.BucketSaCounts(b)) sas.push_back(s);
-    // std::map iteration is already sorted; keep the contract explicit.
+    qis = table.BucketQis(b);
     std::sort(qis.begin(), qis.end());
-    std::sort(sas.begin(), sas.end());
-    index.bucket_offsets_[b + 1] =
-        static_cast<uint32_t>(qis.size() * sas.size());
-  });
-
-  // Phase 2 (serial): counts -> offsets by prefix sum.
-  for (size_t b = 0; b < m; ++b) {
-    index.bucket_offsets_[b + 1] += index.bucket_offsets_[b];
-  }
-
-  // Phase 3 (parallel): materialize terms into disjoint slices.
-  index.terms_.resize(index.bucket_offsets_[m]);
-  (void)ThreadPool::ParallelFor(workers, m, [&](size_t b) {
-    size_t k = index.bucket_offsets_[b];
-    for (uint32_t q : index.bucket_qi_[b]) {
-      for (uint32_t s : index.bucket_sa_[b]) {
-        index.terms_[k++] = Term{q, s, static_cast<uint32_t>(b)};
+    qis.erase(std::unique(qis.begin(), qis.end()), qis.end());
+    const std::vector<uint32_t>& published_sas = table.BucketSas(b);  // sorted
+    std::unique_copy(published_sas.begin(), published_sas.end(),
+                     std::back_inserter(sas));
+    for (uint32_t q : qis) {
+      for (uint32_t s : sas) {
+        index.terms_.push_back(Term{q, s, static_cast<uint32_t>(b)});
       }
     }
-  });
+    index.bucket_offsets_[b + 1] = static_cast<uint32_t>(index.terms_.size());
+  }
   return index;
 }
 

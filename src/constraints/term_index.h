@@ -43,12 +43,7 @@ struct Term {
 class TermIndex {
  public:
   /// Builds the index for `table` (which must outlive the index).
-  ///
-  /// With `threads > 1` (or 0 = hardware concurrency) construction is
-  /// sharded across common::ThreadPool: the per-bucket distinct lists
-  /// are built in parallel, bucket offsets follow by prefix sum, and the
-  /// term array is filled in parallel into disjoint slices. The result
-  /// is byte-identical to the serial build for any thread count.
+  /// `threads` is ignored: the serial build measured faster than sharding.
   static TermIndex Build(const anonymize::BucketizedTable& table,
                          size_t threads = 1);
 

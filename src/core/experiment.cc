@@ -45,8 +45,7 @@ Result<Analysis> AnalyzeUndecomposed(const anonymize::BucketizedTable& table,
         "knowledge about individuals requires the pseudonym-expanded "
         "IndividualModel (core/individual_model.h)");
   }
-  const constraints::TermIndex index =
-      constraints::TermIndex::Build(table, options.solver_options.threads);
+  const constraints::TermIndex index = constraints::TermIndex::Build(table);
   constraints::ConstraintSystem system(index.num_variables());
   system.AddAll(
       constraints::GenerateInvariants(table, index, options.invariant_options));

@@ -15,8 +15,7 @@ Result<Analysis> Analyze(const anonymize::BucketizedTable& table,
   // hold the artifact and skip this per-call rebuild.
   TableArtifactOptions artifact_options;
   artifact_options.invariant_options = options.invariant_options;
-  // Index construction is sharded across the solver's pool so the front
-  // of every analysis scales with --threads, not just the solve.
+  // The invariant rows' signatures are hashed on the solver's threads.
   artifact_options.threads = options.solver_options.threads;
   PME_ASSIGN_OR_RETURN(
       auto artifact,

@@ -49,8 +49,7 @@ Result<std::shared_ptr<const TableArtifact>> TableArtifact::Build(
   artifact->table_ = std::move(table);
   artifact->qi_encoder_ = std::move(qi_encoder);
   artifact->options_ = options;
-  artifact->index_ =
-      constraints::TermIndex::Build(*artifact->table_, options.threads);
+  artifact->index_ = constraints::TermIndex::Build(*artifact->table_);
   artifact->invariants_ = constraints::GenerateInvariants(
       *artifact->table_, artifact->index_, options.invariant_options,
       &artifact->invariant_row_offsets_);

@@ -24,8 +24,8 @@ namespace pme::core {
 /// knobs (solver, deadline, cache mode) live in AnalysisOptions.
 struct TableArtifactOptions {
   constraints::InvariantOptions invariant_options;
-  /// Worker threads for the parallel TermIndex build (0 = hardware
-  /// concurrency). The artifact — content hash included — is
+  /// Worker threads for hashing the invariant rows' signatures (0 =
+  /// hardware concurrency). The artifact — content hash included — is
   /// byte-identical for any value.
   size_t threads = 1;
 };

@@ -542,12 +542,8 @@ Result<SolverResult> SolveDecomposed(
             return AssembleBlock(sel);
           }();
           PME_ASSIGN_OR_RETURN(const MaxEntProblem sub, std::move(assembled));
-          if (options.fallback) {
-            return SolveWithFallback(sub, kind, block_options,
-                                     &block_attempts[i]);
-          }
-          block_attempts[i] = 1;
-          return Solve(sub, kind, block_options);
+          return SolveWithFallback(sub, kind, block_options,
+                                   &block_attempts[i]);
         };
         block_results[i] = solve_block();
         block_seconds[i] = block_timer.ElapsedSeconds();
@@ -560,11 +556,9 @@ Result<SolverResult> SolveDecomposed(
           ? options.pool->RunBatch(solving.size(), block_task)
           : ThreadPool::ParallelFor(threads, solving.size(), block_task);
 
-  // Aggregate. With the fallback ladder on, a component whose every rung
-  // failed keeps its closed-form no-knowledge prior (already in
-  // result.p) and is flagged — one bad component must degrade its own
-  // answer, never the whole analysis. With fallback off, the historical
-  // fail-fast contract stands: the first component error propagates.
+  // Aggregate. A component whose every rung failed keeps its closed-form
+  // no-knowledge prior (already in result.p) and is flagged — one bad
+  // component must degrade its own answer, never the whole analysis.
   result.component_outcomes.reserve(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) {
     ComponentOutcome outcome;
@@ -612,24 +606,6 @@ Result<SolverResult> SolveDecomposed(
       sub = &block_results[i]->value();
     }
     if (sub != nullptr) outcome.iterations = sub->iterations;
-
-    if (!options.fallback) {
-      if (!block_error.ok()) return block_error;
-      const auto& cols = blocks[i].cols;
-      for (size_t j = 0; j < cols.size(); ++j) result.p[cols[j]] = sub->p[j];
-      result.iterations += sub->iterations;
-      result.dual_value += sub->dual_value;
-      result.presolve_fixed += sub->presolve_fixed;
-      result.converged = result.converged && sub->converged;
-      if (result.termination == StatusCode::kOk) {
-        result.termination = sub->termination;
-      }
-      outcome.status = sub->termination;
-      outcome.solver = sub->kind;
-      ++result.components_solved;
-      result.component_outcomes.push_back(outcome);
-      continue;
-    }
 
     const bool usable = sub != nullptr && IsAcceptable(*sub);
     if (usable) {
@@ -686,7 +662,6 @@ Result<SolverResult> SolveDecomposed(
     }
     result.component_outcomes.push_back(outcome);
   }
-  if (!options.fallback && !pool_status.ok()) return pool_status;
 
   {
     SolveMetrics& sm = GetSolveMetrics();
@@ -742,7 +717,7 @@ Result<SolverResult> SolveDecomposed(
   // degraded parts" from "ran out of time".
   if (options.cancel.cancelled()) {
     result.termination = StatusCode::kCancelled;
-  } else if (options.fallback && options.deadline.Expired()) {
+  } else if (options.deadline.Expired()) {
     result.termination = StatusCode::kDeadlineExceeded;
   }
 

@@ -40,9 +40,9 @@ namespace pme::maxent {
 /// `iterations` sums the block solves and `seconds` is the wall time of
 /// the whole decomposed pipeline.
 ///
-/// Failure semantics: with `options.fallback` on (the default), each
-/// block runs the SolveWithFallback ladder under a wall-time budget
-/// proportional to its variable count (a slice of `options.deadline`).
+/// Failure semantics: each block runs the SolveWithFallback ladder under
+/// a wall-time budget proportional to its variable count (a slice of
+/// `options.deadline`).
 /// A block that ends unacceptable but made real progress keeps its best
 /// finite iterate (the contract non-converged solves always had); a
 /// block with no usable iterate — poisoned numerics, a thrown task, a
@@ -52,8 +52,6 @@ namespace pme::maxent {
 /// call still returns Ok with `degraded = true`, so one bad component
 /// never sinks the whole analysis. `termination` is kCancelled when the
 /// token fired, kDeadlineExceeded when the request deadline is spent.
-/// With `fallback` off, the historical fail-fast contract stands: the
-/// first block error propagates as the call's Status.
 ///
 /// Rows arrive through a constraints::SystemView, by reference: a
 /// ConstraintSystem converts implicitly; a table-artifact session passes

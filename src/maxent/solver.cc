@@ -55,6 +55,35 @@ double ProblemViolation(const MaxEntProblem& problem,
   return worst;
 }
 
+/// Carries dual multipliers between the original stacked row space
+/// (equality rows, then inequality rows) and the presolved problem's
+/// reduced one, through the presolve row maps: original to reduced when
+/// `to_reduced`, else back. Rows presolve resolved have no reduced
+/// counterpart and leave `*to` untouched; `*to` comes pre-sized.
+void MapDualRows(const PresolvedProblem& pre, bool to_reduced,
+                 const std::vector<double>& from, std::vector<double>* to) {
+  const auto carry = [&](size_t orig, size_t reduced) {
+    if (to_reduced) {
+      (*to)[reduced] = from[orig];
+    } else {
+      (*to)[orig] = from[reduced];
+    }
+  };
+  const size_t orig_eq = pre.eq_row_map.size();
+  const size_t reduced_eq = pre.reduced.eq.rows();
+  for (size_t r = 0; r < orig_eq; ++r) {
+    if (pre.eq_row_map[r] >= 0) {
+      carry(r, static_cast<size_t>(pre.eq_row_map[r]));
+    }
+  }
+  for (size_t r = 0; r < pre.ineq_row_map.size(); ++r) {
+    if (pre.ineq_row_map[r] >= 0) {
+      carry(orig_eq + r,
+            reduced_eq + static_cast<size_t>(pre.ineq_row_map[r]));
+    }
+  }
+}
+
 }  // namespace
 
 const char* CacheModeToString(CacheMode mode) {
@@ -124,40 +153,15 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   result.presolve_fixed = pre.num_fixed;
   const MaxEntProblem& reduced = pre.reduced;
 
-  // An original-row-space warm start (cached re-analysis) is carried
-  // into the reduced dual space through the presolve row maps. The
-  // reduced-space `warm_start` wins when both are set — it came from a
-  // solve of this very problem (the fallback ladder) and is exact.
-  SolverOptions solve_options = options;
-  std::vector<double> mapped_warm;
-  if (options.warm_start == nullptr &&
-      options.warm_start_original != nullptr &&
-      options.warm_start_original->size() ==
-          problem.eq.rows() + problem.ineq.rows()) {
-    bool finite = true;
-    for (double v : *options.warm_start_original) {
-      if (!std::isfinite(v)) {
-        finite = false;
-        break;
-      }
-    }
-    if (finite) {
-      mapped_warm.assign(reduced.eq.rows() + reduced.ineq.rows(), 0.0);
-      const auto& w = *options.warm_start_original;
-      for (size_t r = 0; r < problem.eq.rows(); ++r) {
-        if (pre.eq_row_map[r] >= 0) {
-          mapped_warm[static_cast<size_t>(pre.eq_row_map[r])] = w[r];
-        }
-      }
-      for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-        if (pre.ineq_row_map[r] >= 0) {
-          mapped_warm[reduced.eq.rows() +
-                      static_cast<size_t>(pre.ineq_row_map[r])] =
-              w[problem.eq.rows() + r];
-        }
-      }
-      solve_options.warm_start = &mapped_warm;
-    }
+  // The dual's starting point: zeros, or the warm start carried into the
+  // reduced row space.
+  std::vector<double> lambda(reduced.eq.rows() + reduced.ineq.rows(), 0.0);
+  const std::vector<double>* warm = options.warm_start_original;
+  if (warm != nullptr &&
+      warm->size() == problem.eq.rows() + problem.ineq.rows() &&
+      std::all_of(warm->begin(), warm->end(),
+                  [](double v) { return std::isfinite(v); })) {
+    MapDualRows(pre, /*to_reduced=*/true, *warm, &lambda);
   }
 
   std::vector<double> reduced_p(reduced.num_vars, 0.0);
@@ -170,16 +174,16 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
       rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
       DualFunction dual(&stacked, rhs);
       PME_ASSIGN_OR_RETURN(
-          outcome,
-          internal::MinimizeProjected(dual, reduced.eq.rows(),
-                                      solve_options));
+          outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
+                                               std::move(lambda), options));
       reduced_p = dual.Primal(outcome.lambda);
     } else {
       DualFunction dual(&reduced.eq, reduced.eq_rhs);
       switch (kind) {
         case SolverKind::kLbfgs: {
-          PME_ASSIGN_OR_RETURN(outcome,
-                               internal::MinimizeLbfgs(dual, solve_options));
+          PME_ASSIGN_OR_RETURN(
+              outcome,
+              internal::MinimizeLbfgs(dual, std::move(lambda), options));
           break;
         }
         case SolverKind::kProjected: {
@@ -188,7 +192,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
           // curvature-free restart rung.
           PME_ASSIGN_OR_RETURN(
               outcome, internal::MinimizeProjected(dual, reduced.eq.rows(),
-                                                   solve_options));
+                                                   std::move(lambda), options));
           break;
         }
       }
@@ -198,29 +202,18 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
     result.converged = outcome.converged;
     result.dual_value = outcome.dual_value;
     result.termination = outcome.stop;
-    result.dual_lambda = std::move(outcome.lambda);
+    lambda = std::move(outcome.lambda);
   } else {
     result.converged = true;
+    lambda.clear();  // no dual was solved
   }
 
   // Scatter the reduced dual back onto the original rows (dropped rows
   // at 0): the row-stable warm-start payload the solution cache stores.
   result.dual_lambda_full.assign(problem.eq.rows() + problem.ineq.rows(),
                                  0.0);
-  if (!result.dual_lambda.empty()) {
-    for (size_t r = 0; r < problem.eq.rows(); ++r) {
-      if (pre.eq_row_map[r] >= 0) {
-        result.dual_lambda_full[r] =
-            result.dual_lambda[static_cast<size_t>(pre.eq_row_map[r])];
-      }
-    }
-    for (size_t r = 0; r < problem.ineq.rows(); ++r) {
-      if (pre.ineq_row_map[r] >= 0) {
-        result.dual_lambda_full[problem.eq.rows() + r] =
-            result.dual_lambda[reduced.eq.rows() +
-                               static_cast<size_t>(pre.ineq_row_map[r])];
-      }
-    }
+  if (!lambda.empty()) {
+    MapDualRows(pre, /*to_reduced=*/false, lambda, &result.dual_lambda_full);
   }
 
   result.p = pre.Restore(reduced_p);
@@ -285,13 +278,10 @@ Result<SolverResult> SolveWithFallback(const MaxEntProblem& problem,
         (!best.has_value() || result.max_violation < best->max_violation)) {
       best = result;
     }
-    // Restart the next rung from this rung's dual point when usable
-    // (InitLambda re-checks finiteness; a shorter/poisoned lambda is
-    // ignored there).
-    if (!result.dual_lambda.empty()) {
-      warm = std::move(result.dual_lambda);
-      rung_options.warm_start = &warm;
-    }
+    // Restart the next rung from this rung's dual point (Solve ignores
+    // a poisoned one).
+    warm = std::move(result.dual_lambda_full);
+    rung_options.warm_start_original = &warm;
   }
   if (attempts != nullptr) *attempts = tried;
   if (best.has_value()) {

@@ -117,22 +117,18 @@ struct SolverOptions {
   /// Cooperative cancellation, checked together with the deadline each
   /// iteration (termination == kCancelled, best-so-far returned).
   CancellationToken cancel;
-  /// Optional warm start for the dual multipliers, in the reduced
-  /// (post-presolve) row space. Ignored when the size does not match the
-  /// reduced dual dimension or any entry is non-finite. Not owned; must
-  /// outlive the Solve call. Used by the fallback ladder to restart the
-  /// projected rung from the first rung's dual point, and by
-  /// warm-started re-analysis.
-  const std::vector<double>* warm_start = nullptr;
-  /// Like `warm_start`, but in the problem's *original* stacked row
-  /// space — equality rows first (matrix row order), inequality rows
-  /// after — before presolve. Solve maps it through the presolve row
-  /// maps into the reduced dual space, so a warm start survives a
-  /// *different* presolve than the one that produced it (the cached
-  /// re-analysis case: an edited component drops/keeps different rows).
-  /// Ignored when the size does not match eq.rows() + ineq.rows(), any
-  /// entry is non-finite, or `warm_start` is also set (the reduced-space
-  /// start is more specific and wins). Not owned; must outlive Solve.
+  /// Optional warm start for the dual multipliers, in the problem's
+  /// original stacked row space — equality rows first (matrix row
+  /// order), inequality rows after — before presolve. Solve maps it
+  /// through the presolve row maps into the reduced dual space, so a
+  /// warm start survives a *different* presolve than the one that
+  /// produced it (the cached re-analysis case: an edited component
+  /// drops/keeps different rows). The fallback ladder restarts its
+  /// projected rung from the first rung's SolverResult::dual_lambda_full
+  /// the same way. Ignored when the size does not match eq.rows() +
+  /// ineq.rows() or any entry is non-finite (a poisoned warm start must
+  /// not propagate a fault into the recovery rung). Not owned; must
+  /// outlive Solve.
   const std::vector<double>* warm_start_original = nullptr;
   /// Optional precomputed Theorem-5 prior for SolveDecomposed: must be
   /// exactly ClosedFormNoKnowledge(table, index) of the table/index the
@@ -163,13 +159,6 @@ struct SolverOptions {
   /// can never serve each other's solutions. The default (zero) keeps
   /// all single-table callers in one namespace.
   Hash128 cache_namespace{};
-  /// SolveDecomposed: when a component's solve fails (non-finite
-  /// iterate, injected fault, deadline, hard error), walk it down the
-  /// degradation ladder — projected-gradient restart from the requested
-  /// solver's dual point, then the closed-form no-knowledge prior —
-  /// instead of failing the whole analysis. Off restores fail-fast
-  /// propagation of the first component error.
-  bool fallback = true;
 };
 
 /// Per-component record of the decomposed solve's fallback ladder.
@@ -240,16 +229,13 @@ struct SolverResult {
   /// when interrupted (p is the best iterate so far), kNumericalError
   /// when the returned point is non-finite.
   StatusCode termination = StatusCode::kOk;
-  /// The dual multipliers of the reduced (post-presolve) problem — the
-  /// warm-start payload for SolverOptions::warm_start. Populated by
-  /// every solver kind, converged or not.
-  /// Empty for decomposed solves (block duals do not concatenate
+  /// The dual multipliers, scattered from the reduced (post-presolve)
+  /// problem back to the *original* stacked row space (equality rows
+  /// first, then inequality rows; presolve-dropped rows at 0) — the
+  /// payload for SolverOptions::warm_start_original and the form the
+  /// solution cache stores. Populated by every solver kind, converged or
+  /// not. Empty for decomposed solves (block duals do not concatenate
   /// meaningfully; per-block duals live in the solution cache).
-  std::vector<double> dual_lambda;
-  /// The same multipliers scattered back to the *original* stacked row
-  /// space (equality rows first, then inequality rows; presolve-dropped
-  /// rows at 0) — the payload for SolverOptions::warm_start_original and
-  /// the form the solution cache stores. Empty for decomposed solves.
   std::vector<double> dual_lambda_full;
   /// True when any part of the answer was produced below the requested
   /// solver (fallback rung or closed-form prior).

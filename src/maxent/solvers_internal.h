@@ -18,21 +18,6 @@
 
 namespace pme::maxent::internal {
 
-/// Starting point for a minimizer: zeros, or the caller's warm start
-/// when it matches the dual dimension and is entirely finite (a poisoned
-/// warm start must not propagate a fault into the recovery rung).
-inline void InitLambda(const SolverOptions& options, size_t m,
-                       std::vector<double>* lambda) {
-  lambda->assign(m, 0.0);
-  if (options.warm_start == nullptr || options.warm_start->size() != m) {
-    return;
-  }
-  for (double v : *options.warm_start) {
-    if (!std::isfinite(v)) return;
-  }
-  *lambda = *options.warm_start;
-}
-
 /// The once-per-iteration interrupt poll every minimizer runs: kOk to
 /// keep iterating, kCancelled / kDeadlineExceeded to stop and return the
 /// best iterate so far.
@@ -80,14 +65,18 @@ struct DualOutcome {
   StatusCode stop = StatusCode::kOk;
 };
 
-/// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
+/// Limited-memory BFGS with two-loop recursion and Armijo backtracking,
+/// started from `lambda` (finite, of size dual.dim()).
 Result<DualOutcome> MinimizeLbfgs(const DualFunction& dual,
+                                  std::vector<double> lambda,
                                   const SolverOptions& options);
 
 /// Projected gradient (Barzilai–Borwein step + projected Armijo) for the
 /// stacked equality+inequality dual: multipliers with index >= num_eq are
-/// constrained to λ_j ≤ 0 (Kazama–Tsujii sign condition).
+/// constrained to λ_j ≤ 0 (Kazama–Tsujii sign condition). Started from
+/// `lambda` (finite, of size dual.dim()) projected into that box.
 Result<DualOutcome> MinimizeProjected(const DualFunction& dual, size_t num_eq,
+                                      std::vector<double> lambda,
                                       const SolverOptions& options);
 
 }  // namespace pme::maxent::internal

@@ -58,6 +58,13 @@ Result<data::Dataset> LoadOrGenerate(const Flags& flags) {
 }  // namespace
 
 int ServeMain(const Flags& flags) {
+  if (Status s = flags.CheckAccepted(
+          {"data", "sensitive", "id", "ell", "records", "seed", "host", "port",
+           "threads", "deadline-ms", "solver", "cache", "cache-mb",
+           "max-connections", "metrics-out", "trace-out"});
+      !s.ok()) {
+    return Fail(s);
+  }
   auto dataset_or = LoadOrGenerate(flags);
   if (!dataset_or.ok()) return Fail(dataset_or.status());
   auto dataset =

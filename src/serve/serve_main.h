@@ -16,7 +16,8 @@ namespace pme::serve {
 ///
 /// Flags: --data --sensitive --id --ell --records --seed --host --port
 ///        --threads --deadline-ms --solver --cache --cache-mb
-///        --max-connections
+///        --max-connections --metrics-out --trace-out; any other flag is
+///        an error (exit 1).
 int ServeMain(const Flags& flags);
 
 }  // namespace pme::serve

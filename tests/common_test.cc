@@ -288,6 +288,20 @@ TEST(FlagsTest, DefaultsApply) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+TEST(FlagsTest, CheckAcceptedNamesTheFirstUnknownFlag) {
+  const char* argv[] = {"prog", "analyze", "--threads=4", "--full",
+                        "--fallback=off", "--threds=2"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.CheckAccepted({"threads", "full", "fallback", "threds"})
+                  .ok());
+  const Status unknown = flags.CheckAccepted({"threads", "full"});
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("--fallback"), std::string::npos);
+  EXPECT_EQ(unknown.message().find("threds"), std::string::npos);
+  // Positional arguments are not flags.
+  EXPECT_TRUE(Flags(2, const_cast<char**>(argv)).CheckAccepted({}).ok());
+}
+
 // ------------------------------------------------------------ ThreadPool
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

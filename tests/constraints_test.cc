@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "anonymize/bucketized_table.h"
 #include "common/prng.h"
@@ -63,6 +65,39 @@ TEST(TermIndexTest, RoundTripVariableIds) {
     EXPECT_EQ(index.VariableId(term.qi, term.sa, term.bucket).ValueOrDie(),
               var);
   }
+}
+
+TEST(TermIndexTest, BucketListsAreEachBucketsDistinctInstances) {
+  // Records interleaved across buckets, each bucket repeating QI and SA
+  // instances: the index must list exactly the distinct instances the
+  // bucket's count maps hold, ascending, and number their products.
+  std::vector<anonymize::AbstractRecord> records;
+  for (uint32_t r = 0; r < 400; ++r) {
+    records.push_back({(7 * r) % 30, (5 * r + r / 40) % 6, r % 40});
+  }
+  const auto t = anonymize::BucketizedTable::Create(records).ValueOrDie();
+  const auto index = TermIndex::Build(t);
+  ASSERT_EQ(index.num_buckets(), 40u);
+  const auto keys = [](const std::map<uint32_t, uint32_t>& counts) {
+    std::vector<uint32_t> out;
+    for (const auto& [value, count] : counts) out.push_back(value);
+    return out;
+  };
+  uint32_t next = 0;
+  for (uint32_t b = 0; b < index.num_buckets(); ++b) {
+    EXPECT_EQ(index.BucketQiList(b), keys(t.BucketQiCounts(b)));
+    EXPECT_EQ(index.BucketSaList(b), keys(t.BucketSaCounts(b)));
+    const auto [first, last] = index.BucketRange(b);
+    EXPECT_EQ(first, next);
+    EXPECT_EQ(last - first,
+              index.BucketQiList(b).size() * index.BucketSaList(b).size());
+    for (uint32_t q : index.BucketQiList(b)) {
+      for (uint32_t s : index.BucketSaList(b)) {
+        EXPECT_TRUE(index.TermOf(next++) == (Term{q, s, b}));
+      }
+    }
+  }
+  EXPECT_EQ(next, index.num_variables());
 }
 
 TEST(TermIndexTest, TermNamesUsePaperNotation) {

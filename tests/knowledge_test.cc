@@ -10,6 +10,7 @@
 #include "data/stats.h"
 #include "knowledge/knowledge_base.h"
 #include "knowledge/miner.h"
+#include "knowledge/parser.h"
 #include "tests/test_util.h"
 
 namespace pme::knowledge {
@@ -118,6 +119,41 @@ TEST(MinerTest, BruteForceCountAgreement) {
       EXPECT_NEAR(r.support, (qv - qs) / n, 1e-12);
     }
   }
+}
+
+TEST(RuleTest, ToStatementParsesBackToTheExactConditional) {
+  // `pme mine` prints ToStatement under each rule: what a user copies
+  // into a knowledge file must assert the mined conditional bit for bit,
+  // not a rounded value the table may not be able to satisfy.
+  data::AdultSynthOptions synth;
+  synth.num_records = 400;
+  auto d = data::GenerateAdultLike(synth).ValueOrDie();
+  MinerOptions options;
+  options.min_support_records = 3;
+  options.max_attrs = 2;
+  auto rules = MineAssociationRules(d, options).ValueOrDie();
+  ASSERT_FALSE(rules.empty());
+  ParserContext context;
+  context.dataset = &d;
+  size_t inexact_at_four_digits = 0;
+  for (size_t i = 0; i < rules.size() && i < 300; ++i) {
+    const AssociationRule& r = rules[i];
+    const std::string statement = r.ToStatement(d);
+    auto parsed = ParseStatement(statement, context);
+    ASSERT_TRUE(parsed.ok()) << statement << ": " << parsed.status().ToString();
+    ASSERT_TRUE(parsed.value().conditional.has_value()) << statement;
+    const ConditionalStatement& c = *parsed.value().conditional;
+    EXPECT_EQ(c.probability, r.conditional) << statement;
+    EXPECT_EQ(c.attrs, r.attrs) << statement;
+    EXPECT_EQ(c.values, r.values) << statement;
+    EXPECT_EQ(c.sa_codes, std::vector<uint32_t>{r.sa_code}) << statement;
+    EXPECT_EQ(c.rel, Relation::kEq) << statement;
+    if (std::round(r.conditional * 1e4) / 1e4 != r.conditional) {
+      ++inexact_at_four_digits;
+    }
+  }
+  // The sample holds conditionals (such as 5/12) that four digits lose.
+  EXPECT_GT(inexact_at_four_digits, 0u);
 }
 
 TEST(MinerTest, SortedByConfidenceWithinPolarity) {

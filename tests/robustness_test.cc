@@ -232,10 +232,10 @@ TEST(SolverInterruptTest, WarmStartResumesAtTheSolution) {
 
   auto cold = maxent::Solve(problem).ValueOrDie();
   ASSERT_TRUE(cold.converged);
-  ASSERT_FALSE(cold.dual_lambda.empty());
+  ASSERT_FALSE(cold.dual_lambda_full.empty());
 
   maxent::SolverOptions options;
-  options.warm_start = &cold.dual_lambda;
+  options.warm_start_original = &cold.dual_lambda_full;
   auto warm = maxent::Solve(problem, maxent::SolverKind::kLbfgs, options)
                   .ValueOrDie();
   EXPECT_TRUE(warm.converged);
@@ -378,25 +378,6 @@ TEST(DecomposedRobustnessTest, ThrowingBlockTaskDegradesOnlyItsComponent) {
   for (uint32_t v = b2_first; v < b2_last; ++v) {
     EXPECT_NEAR(result.value().p[v], clean.p[v], 1e-6) << "var " << v;
   }
-}
-
-TEST(DecomposedRobustnessTest, FallbackOffRestoresFailFastPropagation) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  auto system = InvariantSystem(t, index);
-  AddConditional(t, index, &system, kQ4, kS1, 0.9);
-  AddConditional(t, index, &system, kQ5, kS5, 0.8);
-
-  ScopedFailpoints fp("pool_task_throw@1");
-  maxent::SolverOptions options;
-  options.threads = 1;
-  options.fallback = false;
-  auto result = maxent::SolveDecomposed(t, index, system,
-                                        maxent::SolverKind::kLbfgs, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("pool_task_throw"),
-            std::string::npos);
 }
 
 TEST(DecomposedRobustnessTest, CancelledRunReturnsPartialAnswerMarked) {

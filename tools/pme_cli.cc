@@ -55,9 +55,8 @@ void PrintUsage(std::FILE* out) {
                "  analyze  --data=FILE --sensitive=ATTR [--ell=L]\n"
                "           [--knowledge=FILE] [--solver=lbfgs|projected]\n"
                "           [--threads=N] [--simd=off|avx2|avx512|auto]\n"
-               "           [--deadline-ms=N] [--fallback=on|off]\n"
-               "           [--cache=off|exact|warm] [--cache-mb=N] "
-               "[--repeat=N]\n"
+               "           [--deadline-ms=N] [--cache=off|exact|warm]\n"
+               "           [--cache-mb=N] [--repeat=N] [--toprisks=N]\n"
                "           [--report=FILE] [--posterior=FILE]\n"
                "           [--metrics-out=FILE] [--trace-out=FILE]\n"
                "  serve    [--data=FILE --sensitive=ATTR | --records=N] "
@@ -70,6 +69,8 @@ void PrintUsage(std::FILE* out) {
                "[--metrics-out=FILE] [--trace-out=FILE]\n"
                "  help     print this synopsis\n"
                "\n"
+               "mine and analyze also take --id=ATTR[,ATTR] (identifier\n"
+               "columns to drop). An unknown flag is an error.\n"
                "--metrics-out dumps the metrics registry as JSON at exit;\n"
                "--trace-out dumps recorded spans as Chrome trace-event JSON\n"
                "(load in chrome://tracing or https://ui.perfetto.dev).\n");
@@ -127,6 +128,9 @@ pme::Result<pme::data::Dataset> LoadData(const pme::Flags& flags) {
 }
 
 int RunSynth(const pme::Flags& flags) {
+  if (auto s = flags.CheckAccepted({"records", "out", "seed"}); !s.ok()) {
+    return Fail(s);
+  }
   pme::data::AdultSynthOptions options;
   options.num_records = static_cast<size_t>(flags.GetInt("records", 14210));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 20080612));
@@ -142,6 +146,11 @@ int RunSynth(const pme::Flags& flags) {
 }
 
 int RunMine(const pme::Flags& flags) {
+  if (auto s = flags.CheckAccepted({"data", "sensitive", "id", "top",
+                                    "minsupport", "maxattrs"});
+      !s.ok()) {
+    return Fail(s);
+  }
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   pme::knowledge::MinerOptions options;
@@ -155,13 +164,24 @@ int RunMine(const pme::Flags& flags) {
   auto selected = pme::knowledge::TopK(rules.value(), top, top);
   std::printf("%zu rules mined; top %zu per polarity:\n",
               rules.value().size(), top);
+  // Each rule is followed by its exact statement: the %.17g conditional
+  // parses back bit for bit, where the 4-digit confidence above it can
+  // fall just outside what the table allows.
   for (const auto& r : selected) {
-    std::printf("  %s\n", r.ToString(dataset.value()).c_str());
+    std::printf("  %s\n    %s\n", r.ToString(dataset.value()).c_str(),
+                r.ToStatement(dataset.value()).c_str());
   }
   return 0;
 }
 
 int RunAnalyze(const pme::Flags& flags) {
+  if (auto s = flags.CheckAccepted(
+          {"data", "sensitive", "id", "ell", "knowledge", "solver", "threads",
+           "simd", "deadline-ms", "cache", "cache-mb", "repeat", "toprisks",
+           "report", "posterior", "metrics-out", "trace-out"});
+      !s.ok()) {
+    return Fail(s);
+  }
   auto dataset = LoadData(flags);
   if (!dataset.ok()) return Fail(dataset.status());
 
@@ -208,19 +228,13 @@ int RunAnalyze(const pme::Flags& flags) {
   pme::kernels::SetSimdMode(
       pme::kernels::ParseSimdMode(flags.GetString("simd", "auto")));
   // Wall-time budget for the whole solve. Components that run out of
-  // their share degrade to cheaper solvers or the closed-form prior
-  // rather than aborting the analysis (see --fallback).
+  // their share degrade to the projected rung or the closed-form prior
+  // rather than aborting the analysis.
   const long long deadline_ms = flags.GetInt("deadline-ms", 0);
   if (deadline_ms > 0) {
     options.solver_options.deadline = pme::Deadline::AfterMillis(
         static_cast<int64_t>(deadline_ms));
   }
-  const std::string fallback = flags.GetString("fallback", "on");
-  if (fallback != "on" && fallback != "off") {
-    return Fail(pme::Status::InvalidArgument(
-        "--fallback must be 'on' or 'off', got '" + fallback + "'"));
-  }
-  options.solver_options.fallback = fallback == "on";
 
   // Component-solution cache: off disables it, exact reuses byte-identical
   // component solves, warm (default) additionally warm-starts edited
