@@ -88,7 +88,7 @@ VariantResult RunVariant(const pme::core::ExperimentPipeline& pipeline,
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 1500);
+  const auto scale = pme::bench::ResolveScale(flags, 1500, {"k"});
   const size_t k = static_cast<size_t>(flags.GetInt("k", 100));
 
   std::printf("# Constraint-set ablation (Sections 5.3/5.4)\n");

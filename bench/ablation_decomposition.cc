@@ -61,7 +61,7 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 2500);
+  const auto scale = pme::bench::ResolveScale(flags, 2500, {});
 
   std::printf("# Decomposition ablation (Section 5.5 + components)\n");
   std::printf("# records=%zu threads=%zu\n", scale.records, scale.threads);

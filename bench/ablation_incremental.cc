@@ -43,7 +43,7 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 2500);
+  const auto scale = pme::bench::ResolveScale(flags, 2500, {});
 
   std::printf("# Incremental re-analysis ablation (solution cache)\n");
   std::printf("# records=%zu threads=%zu\n", scale.records, scale.threads);

@@ -72,6 +72,7 @@ void RunSuite(const char* title, const pme::maxent::MaxEntProblem& problem) {
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
+  pme::bench::CheckFlags(flags, {"full"});
   const bool full = flags.GetBool("full", false);
 
   std::printf("# Solver-comparison ablation (Malouf-style, Section 3.3)\n");

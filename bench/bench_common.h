@@ -15,7 +15,8 @@
 //                   AVX2+FMA the CPU supports), avx512, avx2, or off
 //                   (portable scalar, for A/B runs)
 //   --seed=S        dataset seed
-// and prints the same series the corresponding paper figure plots.
+// plus its own flags, and prints the same series the corresponding paper
+// figure plots. Any other flag (a typo, `--help`) exits 1 naming it.
 
 #ifndef PME_BENCH_BENCH_COMMON_H_
 #define PME_BENCH_BENCH_COMMON_H_
@@ -48,7 +49,28 @@ struct BenchScale {
   std::string json_path;
 };
 
-inline BenchScale ResolveScale(const Flags& flags, size_t default_records) {
+/// Exits 1 when the command line carries a flag outside `accepted`,
+/// naming it and listing the accepted ones: a typo (or `--help`) must not
+/// silently run the whole bench with defaults.
+inline void CheckFlags(const Flags& flags,
+                       const std::vector<std::string>& accepted) {
+  const Status status = flags.CheckAccepted(accepted);
+  if (status.ok()) return;
+  std::fprintf(stderr, "error: %s\naccepted flags:", status.ToString().c_str());
+  for (const std::string& name : accepted) {
+    std::fprintf(stderr, " --%s", name.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  std::exit(1);
+}
+
+/// Checks the command line (CheckFlags) against the scale flags above
+/// plus the bench's own `extra_flags`, then resolves the scale.
+inline BenchScale ResolveScale(const Flags& flags, size_t default_records,
+                               std::vector<std::string> extra_flags) {
+  extra_flags.insert(extra_flags.begin(), {"records", "full", "seed",
+                                           "threads", "simd", "csv", "json"});
+  CheckFlags(flags, extra_flags);
   BenchScale scale;
   scale.full = flags.GetBool("full", false);
   scale.records = static_cast<size_t>(

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 1000);
+  const auto scale = pme::bench::ResolveScale(flags, 1000, {"maxattrs", "kmax"});
   const size_t max_attrs = pme::bench::MaxAttrsFlag(flags, scale, 8);
 
   std::printf("# Figure 5 reproduction: estimation accuracy vs K\n");

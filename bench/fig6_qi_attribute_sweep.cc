@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 1000);
+  const auto scale = pme::bench::ResolveScale(flags, 1000, {"maxt", "kmax"});
   const size_t max_t =
       static_cast<size_t>(flags.GetInt("maxt", scale.full ? 8 : 4));
 

@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 1500);
+  const auto scale = pme::bench::ResolveScale(flags, 1500, {"maxattrs"});
   const size_t max_attrs = pme::bench::MaxAttrsFlag(flags, scale, 4);
 
   std::printf("# Figure 7(a) reproduction: solver cost vs #BK constraints\n");

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 2000);
+  const auto scale = pme::bench::ResolveScale(flags, 2000, {"maxbuckets"});
 
   std::printf("# Figure 7(b) reproduction: running time vs #buckets\n");
   std::vector<size_t> buckets, budgets;

@@ -72,7 +72,10 @@ PhaseResult Summarize(const std::vector<std::vector<double>>& per_thread,
 
 int main(int argc, char** argv) {
   pme::Flags flags(argc, argv);
-  const auto scale = pme::bench::ResolveScale(flags, 1000);
+  const auto scale = pme::bench::ResolveScale(
+      flags, 1000,
+      {"warm-requests", "cold-requests", "min-speedup", "max-overhead-pct",
+       "ab-clients", "stats-check", "trace-out"});
   const size_t warm_requests =
       static_cast<size_t>(flags.GetInt("warm-requests", 60));
   const size_t cold_requests =

@@ -1,11 +1,25 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/string_util.h"
 
 namespace pme {
+namespace {
+
+/// A value that does not parse is a misconfiguration, not a request for
+/// the default: report the flag and stop.
+[[noreturn]] void ExitMalformed(const std::string& name,
+                                const std::string& value, const char* kind) {
+  const Status status = Status::InvalidArgument(
+      "flag --" + name + "='" + value + "' is not " + kind);
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,14 +52,16 @@ long long Flags::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   long long v = 0;
-  return ParseInt(it->second, &v) ? v : default_value;
+  if (!ParseInt(it->second, &v)) ExitMalformed(name, it->second, "an integer");
+  return v;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   double v = 0.0;
-  return ParseDouble(it->second, &v) ? v : default_value;
+  if (!ParseDouble(it->second, &v)) ExitMalformed(name, it->second, "a number");
+  return v;
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {

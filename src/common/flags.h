@@ -26,9 +26,10 @@ class Flags {
   /// String flag with default.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
-  /// Integer flag with default; non-numeric values fall back to default.
+  /// Integer flag with default. A value that is not an integer (`12x`)
+  /// prints an error naming the flag and exits the process with status 1.
   long long GetInt(const std::string& name, long long default_value) const;
-  /// Double flag with default.
+  /// Double flag with default; a malformed value exits like GetInt.
   double GetDouble(const std::string& name, double default_value) const;
   /// Boolean flag: present without value, or "=true/1/yes".
   bool GetBool(const std::string& name, bool default_value) const;

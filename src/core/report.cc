@@ -71,10 +71,15 @@ std::string RenderPrivacyReport(const anonymize::BucketizedTable& table,
         << analysis.solver.components_failed << " failed\n";
     for (const auto& c : analysis.solver.component_outcomes) {
       if (!c.degraded && !c.used_prior) continue;
+      // An accepted answer (kOk) from a lower rung is a degradation; any
+      // other status means no rung was acceptable and the block kept the
+      // best unconverged iterate, whichever rung produced it.
+      const std::string solver = maxent::SolverKindToString(c.solver);
       out << "    block " << c.block << " (" << c.num_variables << " vars): "
-          << (c.used_prior ? "kept closed-form prior"
-                           : std::string("degraded to ") +
-                                 maxent::SolverKindToString(c.solver))
+          << (c.used_prior                  ? "kept closed-form prior"
+              : c.status == StatusCode::kOk ? "degraded to " + solver
+                                            : "kept its unconverged " +
+                                                  solver + " iterate")
           << " after " << c.attempts << " attempt"
           << (c.attempts == 1 ? "" : "s") << " ("
           << StatusCodeToString(c.status) << ")\n";

@@ -111,21 +111,42 @@ constexpr size_t kPrefetchDistance = 16;
 /// One CSR row's dot product against x: four independent partial sums
 /// expose ILP across the FMA chain, and the gathered x entries a few
 /// nonzeros ahead are prefetched. Shared by MultiplyInto and the fused
-/// MultiplyMinusInto so the kernels cannot drift apart.
+/// MultiplyMinusInto kernels so they cannot drift apart. With kSquares,
+/// the same sweep also accumulates Σ a_k² x_k into `*squares`; the dot
+/// keeps the same summation order, so it is bit-identical either way.
+template <bool kSquares>
 inline double RowDot(const uint32_t* ci, const double* va, const double* xd,
-                     size_t k, size_t end, size_t nnz) {
+                     size_t k, size_t end, size_t nnz,
+                     double* squares = nullptr) {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  double q0 = 0.0, q1 = 0.0, q2 = 0.0, q3 = 0.0;
   for (; k + 4 <= end; k += 4) {
     if (k + kPrefetchDistance < nnz) {
       PrefetchRead(xd + ci[k + kPrefetchDistance]);
     }
-    a0 += va[k] * xd[ci[k]];
-    a1 += va[k + 1] * xd[ci[k + 1]];
-    a2 += va[k + 2] * xd[ci[k + 2]];
-    a3 += va[k + 3] * xd[ci[k + 3]];
+    const double t0 = va[k] * xd[ci[k]];
+    const double t1 = va[k + 1] * xd[ci[k + 1]];
+    const double t2 = va[k + 2] * xd[ci[k + 2]];
+    const double t3 = va[k + 3] * xd[ci[k + 3]];
+    a0 += t0;
+    a1 += t1;
+    a2 += t2;
+    a3 += t3;
+    if constexpr (kSquares) {
+      q0 += va[k] * t0;
+      q1 += va[k + 1] * t1;
+      q2 += va[k + 2] * t2;
+      q3 += va[k + 3] * t3;
+    }
   }
   double acc = (a0 + a1) + (a2 + a3);
-  for (; k < end; ++k) acc += va[k] * xd[ci[k]];
+  double sq = (q0 + q1) + (q2 + q3);
+  for (; k < end; ++k) {
+    const double t = va[k] * xd[ci[k]];
+    acc += t;
+    if constexpr (kSquares) sq += va[k] * t;
+  }
+  if constexpr (kSquares) *squares = sq;
   return acc;
 }
 
@@ -146,7 +167,7 @@ void SparseMatrix::MultiplyInto(kernels::ConstSpan x, kernels::Span y) const {
   const double* const va = values_.data();
   const size_t nnz = values_.size();
   for (size_t r = 0; r < rows_; ++r) {
-    y.data[r] = RowDot(ci, va, x.data, off[r], off[r + 1], nnz);
+    y.data[r] = RowDot<false>(ci, va, x.data, off[r], off[r + 1], nnz);
   }
 }
 
@@ -159,7 +180,24 @@ void SparseMatrix::MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
   const double* const va = values_.data();
   const size_t nnz = values_.size();
   for (size_t r = 0; r < rows_; ++r) {
-    y.data[r] = RowDot(ci, va, x.data, off[r], off[r + 1], nnz) - b.data[r];
+    y.data[r] =
+        RowDot<false>(ci, va, x.data, off[r], off[r + 1], nnz) - b.data[r];
+  }
+}
+
+void SparseMatrix::MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
+                                     kernels::Span y,
+                                     kernels::Span squares) const {
+  assert(x.size == cols_);
+  assert(b.size == rows_ && y.size == rows_ && squares.size == rows_);
+  const size_t* const off = row_offsets_.data();
+  const uint32_t* const ci = col_indices_.data();
+  const double* const va = values_.data();
+  const size_t nnz = values_.size();
+  for (size_t r = 0; r < rows_; ++r) {
+    y.data[r] = RowDot<true>(ci, va, x.data, off[r], off[r + 1], nnz,
+                             squares.data + r) -
+                b.data[r];
   }
 }
 

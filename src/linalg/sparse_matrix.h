@@ -72,6 +72,13 @@ class SparseMatrix {
   void MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
                          kernels::Span y) const;
 
+  /// MultiplyMinusInto that also writes squares = (A∘A) x, i.e.
+  /// squares_r = Σ_k a_rk² x_k, in the same row sweep. `y` is
+  /// bit-identical to the three-argument form. With x = p(λ) this is the
+  /// diagonal of the dual Hessian A·diag(p)·Aᵀ.
+  void MultiplyMinusInto(kernels::ConstSpan x, kernels::ConstSpan b,
+                         kernels::Span y, kernels::Span squares) const;
+
   /// y = A^T x into a pre-sized buffer (`x.size == rows()`, `y.size ==
   /// cols()`).
   void TransposeMultiplyInto(kernels::ConstSpan x, kernels::Span y) const;

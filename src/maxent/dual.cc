@@ -35,9 +35,17 @@ double DualFunction::EvaluateInto(const std::vector<double>& lambda,
   const double value = sum_p - kernels::Dot(b_, lambda);
   if (grad != nullptr) {
     if (grad->size() != dim()) grad->resize(dim());
-    // Fused CSR pass: ∇D = A p − b in a single sweep.
-    a_->MultiplyMinusInto(kernels::ConstSpan(ws->p), b_,
-                          kernels::Span(*grad));
+    // Fused CSR pass: ∇D = A p − b (and the Hessian diagonal, when
+    // asked for) in a single sweep.
+    if (ws->want_hessian_diag) {
+      if (ws->hessian_diag.size() != dim()) ws->hessian_diag.resize(dim());
+      a_->MultiplyMinusInto(kernels::ConstSpan(ws->p), b_,
+                            kernels::Span(*grad),
+                            kernels::Span(ws->hessian_diag));
+    } else {
+      a_->MultiplyMinusInto(kernels::ConstSpan(ws->p), b_,
+                            kernels::Span(*grad));
+    }
   }
   return value;
 }

@@ -19,6 +19,12 @@ struct DualWorkspace {
   /// EvaluateInto; the exponent Aᵀλ is computed into this same buffer
   /// and overwritten in place, so no separate `t` scratch exists.
   std::vector<double> p;
+  /// Set by a caller that preconditions with the dual Hessian's diagonal
+  /// (LBFGS). Then every EvaluateInto that writes a gradient also writes
+  /// `hessian_diag` (size m): D_r = Σ_j a_rj² p_j(λ), the diagonal of
+  /// ∇²D = A·diag(p)·Aᵀ, computed in the gradient's own CSR row sweep.
+  bool want_hessian_diag = false;
+  std::vector<double> hessian_diag;
 };
 
 /// The Lagrange dual of the equality-constrained MaxEnt problem
@@ -59,7 +65,8 @@ class DualFunction {
   /// Fused evaluation of D(λ) into caller-owned scratch: the exponent
   /// Aᵀλ, the primal p(λ) and the running sum Σp are produced in a
   /// single pass over `ws->p`, then ∇D = A p − b is written into `grad`
-  /// (when non-null). Buffers are grown on first use and merely reused
+  /// (when non-null), together with `ws->hessian_diag` when the workspace
+  /// asks for it. Buffers are grown on first use and merely reused
   /// afterwards — no per-call heap traffic.
   double EvaluateInto(const std::vector<double>& lambda,
                       std::vector<double>* grad, DualWorkspace* ws) const;

@@ -347,10 +347,16 @@ TEST(ThreadPoolTest, ResolveThreadsMapsZeroToHardware) {
   EXPECT_EQ(ThreadPool::ResolveThreads(5), 5u);
 }
 
-TEST(FlagsTest, NonNumericFallsBackToDefault) {
-  const char* argv[] = {"prog", "--k=abc"};
-  Flags flags(2, const_cast<char**>(argv));
-  EXPECT_EQ(flags.GetInt("k", 3), 3);
+TEST(FlagsTest, MalformedNumberExitsNamingTheFlag) {
+  const char* argv[] = {"prog", "--records=12x", "--rate=0.5.1", "--k=7"};
+  Flags flags(4, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetInt("records", 14210), ::testing::ExitedWithCode(1),
+              "--records='12x'");
+  EXPECT_EXIT(flags.GetDouble("rate", 0.5), ::testing::ExitedWithCode(1),
+              "--rate='0.5.1'");
+  // Well-formed and absent flags are unaffected.
+  EXPECT_EQ(flags.GetInt("k", 3), 7);
+  EXPECT_EQ(flags.GetInt("missing", 3), 3);
 }
 
 // ---------------------------------------------------------------- Hash128

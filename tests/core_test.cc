@@ -9,6 +9,7 @@
 #include "core/experiment.h"
 #include "core/posterior.h"
 #include "core/privacy_maxent.h"
+#include "core/report.h"
 #include "knowledge/knowledge_base.h"
 #include "tests/test_util.h"
 
@@ -174,6 +175,32 @@ TEST(AnalyzeTest, SolverKindIsRespected) {
   auto analysis = Analyze(t, empty, options).ValueOrDie();
   EXPECT_EQ(analysis.solver.kind, maxent::SolverKind::kProjected);
   EXPECT_LT(analysis.solver.max_violation, 1e-7);
+}
+
+TEST(AnalyzeTest, ReportSaysABlockKeptItsUnconvergedIterate) {
+  // Two statements no assignment satisfies: P(s1 | q1) = 0.9 but
+  // P(s1 or s2 | q1) = 0.1. With a small budget neither rung of the
+  // fallback ladder converges, so the block keeps its best unconverged
+  // iterate. The report must say so, not that it degraded to a solver.
+  auto t = pme::testing::MakeFigure1Table();
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(kQ1, {kS1}, 0.9));
+  kb.Add(knowledge::AbstractConditional(kQ1, {kS1, kS2}, 0.1));
+  AnalysisOptions options;
+  options.solver_options.max_iterations = 40;
+  auto analysis = Analyze(t, kb, options).ValueOrDie();
+  ASSERT_EQ(analysis.solver.component_outcomes.size(), 1u);
+  const maxent::ComponentOutcome& c = analysis.solver.component_outcomes[0];
+  EXPECT_TRUE(c.degraded);
+  EXPECT_FALSE(c.used_prior);
+  EXPECT_NE(c.status, StatusCode::kOk);
+  const std::string report = RenderPrivacyReport(t, analysis);
+  EXPECT_NE(report.find("kept its unconverged " +
+                        std::string(maxent::SolverKindToString(c.solver)) +
+                        " iterate after 2 attempts (not_converged)"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("degraded to"), std::string::npos) << report;
 }
 
 // -------------------------------------------------------- PrivacyMetrics

@@ -145,6 +145,31 @@ TEST_F(PipelineTest, SimdOffAndAutoAgreeEndToEnd) {
   EXPECT_NEAR(off.estimation_accuracy, vec.estimation_accuracy, 1e-6);
 }
 
+TEST(Figure7aTest, NearZeroRowsConvergeWithoutPresolve) {
+  // Figure 7a's 2,700-statement instance at the bench's default scale
+  // (1,500 records), solved as the bench does: undecomposed, presolve
+  // off, tolerance 1e-6. With presolve off, rows whose mass the solve
+  // drives towards zero reach a Hessian diagonal many orders of magnitude
+  // below the rest. Unfloored, the diagonal preconditioner turns them
+  // into huge steps that are all rejected (over 8,000 iterations);
+  // floored, LBFGS converges in about 200. The budget makes a missing
+  // floor fail fast.
+  bench::BenchScale scale;
+  scale.records = 1500;
+  scale.seed = 20080612;
+  const ExperimentPipeline pipeline = bench::BuildStandardPipeline(scale, 3);
+  const auto rules = bench::SampleInformativeRules(pipeline.rules, 2700);
+  ASSERT_EQ(rules.size(), 2700u);
+  AnalysisOptions options;
+  options.solver_options.presolve = false;
+  options.solver_options.tolerance = 1e-6;
+  options.solver_options.max_iterations = 1000;
+  const Analysis analysis =
+      bench::AnalyzeRulesUndecomposed(pipeline, rules, options).ValueOrDie();
+  EXPECT_TRUE(analysis.solver.converged);
+  EXPECT_LE(analysis.solver.max_violation, 1e-6);
+}
+
 TEST(CsvWriterTest, WritesHeaderAndRows) {
   const std::string path = ::testing::TempDir() + "/pme_csv_writer_test.csv";
   {

@@ -9,6 +9,7 @@
 
 #include "common/math_util.h"
 #include "common/prng.h"
+#include "common/vec_math.h"
 #include "constraints/bk_compiler.h"
 #include "constraints/invariants.h"
 #include "constraints/system.h"
@@ -133,6 +134,48 @@ TEST(DualFunctionTest, EvaluateIntoNeverResizesAfterWarmup) {
     ASSERT_EQ(ws.p.capacity(), p_cap);
     ASSERT_EQ(grad.capacity(), grad_cap);
   }
+}
+
+TEST(DualFunctionTest, HessianDiagonalIsFusedIntoTheGradientSweep) {
+  // Rows from empty to 40 nonzeros cover the unrolled body, its
+  // remainder and the prefetch window of the CSR row kernel.
+  Prng prng(17);
+  const size_t rows = 24, cols = 60;
+  std::vector<std::vector<double>> dense(rows, std::vector<double>(cols, 0.0));
+  for (size_t r = 1; r < rows; ++r) {
+    const double density = static_cast<double>(r) / rows * 0.7;
+    for (auto& v : dense[r]) {
+      if (prng.NextDouble() < density) v = prng.NextDouble(0.1, 2.0);
+    }
+  }
+  auto a = linalg::SparseMatrix::FromDense(dense);
+  std::vector<double> b(rows);
+  for (auto& v : b) v = prng.NextDouble(0.0, 0.5);
+  DualFunction dual(&a, b);
+  DualWorkspace plain, with_diag;
+  with_diag.want_hessian_diag = true;
+  std::vector<double> grad_plain, grad_fused, reference(rows);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<double> lambda(rows);
+    for (auto& v : lambda) v = prng.NextDouble(-1.0, 1.0);
+    const double v_plain = dual.EvaluateInto(lambda, &grad_plain, &plain);
+    const double v_fused = dual.EvaluateInto(lambda, &grad_fused, &with_diag);
+    EXPECT_EQ(v_fused, v_plain);
+    EXPECT_TRUE(plain.hessian_diag.empty());
+    a.MultiplyMinusInto(with_diag.p, b, reference);
+    ASSERT_EQ(with_diag.hessian_diag.size(), rows);
+    for (size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(grad_fused[r], reference[r]) << "row " << r;
+      EXPECT_EQ(grad_fused[r], grad_plain[r]) << "row " << r;
+      double naive = 0.0;
+      for (size_t c = 0; c < cols; ++c) {
+        naive += dense[r][c] * dense[r][c] * with_diag.p[c];
+      }
+      EXPECT_NEAR(with_diag.hessian_diag[r], naive, 1e-14 * naive)
+          << "row " << r;
+    }
+  }
+  EXPECT_EQ(with_diag.hessian_diag[0], 0.0);  // the empty row
 }
 
 TEST(DualFunctionTest, PrimalIsExpOfDualCombination) {
@@ -506,6 +549,35 @@ TEST(SolverTest, PresolveOffStillSolvesSmoothProblems) {
                     .ValueOrDie();
   for (double v : result.p) EXPECT_NEAR(v, 0.25, 1e-7);
   EXPECT_EQ(result.presolve_fixed, 0u);
+}
+
+TEST(SolverTest, TightToleranceEndsConvergedNotStalled) {
+  // At ‖∇D‖∞ ≤ 1e-12 the last steps change the dual value by less than
+  // its rounding, so Armijo's test alone accepts noise and rejects real
+  // progress alike, and the stall detector ends the solve unconverged.
+  // The line search decides such steps on the directional derivative
+  // instead; the solve must reach the tolerance in both kernel modes.
+  auto t = pme::testing::MakeFigure1Table();
+  auto index = TermIndex::Build(t);
+  ConstraintSystem system(index.num_variables());
+  system.AddAll(constraints::GenerateInvariants(t, index));
+  knowledge::KnowledgeBase kb;
+  kb.Add(knowledge::AbstractConditional(kQ1, {kS3},
+                                        t.TrueConditional(kQ1, kS3)));
+  kb.Add(knowledge::AbstractConditional(kQ2, {kS1, kS2}, 0.5));
+  auto compiled = constraints::CompileKnowledge(kb, t, index).ValueOrDie();
+  system.AddAll(std::move(compiled.constraints));
+  auto problem = BuildProblem(system).ValueOrDie();
+  SolverOptions options;
+  options.tolerance = 1e-12;
+  const auto saved = kernels::GetSimdMode();
+  for (const auto mode : {kernels::SimdMode::kOff, kernels::SimdMode::kAuto}) {
+    kernels::SetSimdMode(mode);
+    auto result = Solve(problem, SolverKind::kLbfgs, options).ValueOrDie();
+    EXPECT_TRUE(result.converged) << kernels::SimdModeName();
+    EXPECT_LE(result.max_violation, 1e-12) << kernels::SimdModeName();
+  }
+  kernels::SetSimdMode(saved);
 }
 
 TEST(SolverTest, RandomFeasibleSystemsConverge) {
