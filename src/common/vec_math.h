@@ -81,9 +81,6 @@ SimdMode ParseSimdMode(const std::string& value);
 /// a pinned-but-unsupported mode reports the table it fell back to.
 const char* SimdModeName();
 
-/// Legacy alias for SimdModeName().
-const char* ActiveIsa();
-
 /// True when a vectorized (non-scalar) dispatch table is active.
 bool SimdActive();
 

@@ -6,46 +6,6 @@
 
 namespace pme::linalg {
 
-Result<SparseMatrix> SparseMatrix::FromTriplets(size_t rows, size_t cols,
-                                                std::vector<Triplet> triplets) {
-  for (const Triplet& t : triplets) {
-    if (t.row >= rows || t.col >= cols) {
-      return Status::InvalidArgument("triplet index out of bounds");
-    }
-  }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_offsets_.assign(rows + 1, 0);
-  m.col_indices_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
-
-  size_t i = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    m.row_offsets_[r] = m.values_.size();
-    while (i < triplets.size() && triplets[i].row == r) {
-      uint32_t c = triplets[i].col;
-      double v = 0.0;
-      while (i < triplets.size() && triplets[i].row == r &&
-             triplets[i].col == c) {
-        v += triplets[i].value;
-        ++i;
-      }
-      if (v != 0.0) {
-        m.col_indices_.push_back(c);
-        m.values_.push_back(v);
-      }
-    }
-  }
-  m.row_offsets_[rows] = m.values_.size();
-  return m;
-}
-
 Result<SparseMatrix> SparseMatrix::FromCsr(size_t rows, size_t cols,
                                            std::vector<size_t> row_offsets,
                                            std::vector<uint32_t> col_indices,
@@ -78,18 +38,21 @@ Result<SparseMatrix> SparseMatrix::FromCsr(size_t rows, size_t cols,
 
 SparseMatrix SparseMatrix::FromDense(
     const std::vector<std::vector<double>>& dense) {
-  std::vector<Triplet> triplets;
-  size_t cols = dense.empty() ? 0 : dense[0].size();
-  for (size_t r = 0; r < dense.size(); ++r) {
-    assert(dense[r].size() == cols);
+  const size_t cols = dense.empty() ? 0 : dense[0].size();
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> col_indices;
+  std::vector<double> values;
+  for (const auto& row : dense) {
+    assert(row.size() == cols);
     for (size_t c = 0; c < cols; ++c) {
-      if (dense[r][c] != 0.0) {
-        triplets.push_back({static_cast<uint32_t>(r),
-                            static_cast<uint32_t>(c), dense[r][c]});
-      }
+      if (row[c] == 0.0) continue;
+      col_indices.push_back(static_cast<uint32_t>(c));
+      values.push_back(row[c]);
     }
+    offsets.push_back(col_indices.size());
   }
-  return std::move(FromTriplets(dense.size(), cols, std::move(triplets)))
+  return std::move(FromCsr(dense.size(), cols, std::move(offsets),
+                           std::move(col_indices), std::move(values)))
       .value();
 }
 
@@ -236,20 +199,6 @@ void SparseMatrix::TransposeMultiplyInto(kernels::ConstSpan x,
   }
 }
 
-void SparseMatrix::TransposeMultiplyAccumulate(double alpha,
-                                               const std::vector<double>& x,
-                                               std::vector<double>& y) const {
-  assert(x.size() == rows_);
-  assert(y.size() == cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double xr = alpha * x[r];
-    if (xr == 0.0) continue;
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      y[col_indices_[k]] += values_[k] * xr;
-    }
-  }
-}
-
 double SparseMatrix::At(size_t row, size_t col) const {
   assert(row < rows_ && col < cols_);
   for (size_t k = row_offsets_[row]; k < row_offsets_[row + 1]; ++k) {
@@ -338,40 +287,6 @@ Result<SparseMatrix> SparseMatrix::Submatrix(
     }
   }
   return m;
-}
-
-size_t SparseMatrixBuilder::BeginRow() {
-  row_open_ = true;
-  current_row_ = open_rows_;
-  ++open_rows_;
-  return current_row_;
-}
-
-Status SparseMatrixBuilder::Add(uint32_t col, double value) {
-  if (!row_open_) {
-    return Status::FailedPrecondition("Add() called before BeginRow()");
-  }
-  if (col >= cols_) {
-    return Status::InvalidArgument("column index out of bounds");
-  }
-  triplets_.push_back({static_cast<uint32_t>(current_row_), col, value});
-  return Status::Ok();
-}
-
-Status SparseMatrixBuilder::AddRow(const std::vector<uint32_t>& cols,
-                                   const std::vector<double>& values) {
-  if (cols.size() != values.size()) {
-    return Status::InvalidArgument("AddRow: parallel arrays differ in size");
-  }
-  BeginRow();
-  for (size_t i = 0; i < cols.size(); ++i) {
-    PME_RETURN_IF_ERROR(Add(cols[i], values[i]));
-  }
-  return Status::Ok();
-}
-
-Result<SparseMatrix> SparseMatrixBuilder::Build() {
-  return SparseMatrix::FromTriplets(open_rows_, cols_, std::move(triplets_));
 }
 
 }  // namespace pme::linalg

@@ -13,13 +13,6 @@
 
 namespace pme::linalg {
 
-/// One nonzero entry during matrix assembly.
-struct Triplet {
-  uint32_t row;
-  uint32_t col;
-  double value;
-};
-
 /// Immutable sparse matrix in Compressed Sparse Row (CSR) form.
 ///
 /// This is the workhorse of the MaxEnt solver: the constraint matrix `A`
@@ -32,22 +25,18 @@ class SparseMatrix {
   /// Empty 0x0 matrix.
   SparseMatrix() = default;
 
-  /// Builds from triplets. Duplicate (row, col) entries are summed;
-  /// explicit zeros are dropped. Triplets out of bounds yield an error.
-  static Result<SparseMatrix> FromTriplets(size_t rows, size_t cols,
-                                           std::vector<Triplet> triplets);
-
   /// Adopts CSR arrays as they are: `row_offsets` holds rows + 1
   /// nondecreasing entries from 0 to nnz, and each row's column indices
   /// are strictly ascending and below `cols`. No sort, no dedupe, no
-  /// zero dropping — for callers that assemble canonical rows directly.
-  /// Malformed arrays yield kInvalidArgument.
+  /// zero dropping: callers assemble canonical rows themselves (see
+  /// maxent::BuildProblem). Malformed arrays yield kInvalidArgument.
   static Result<SparseMatrix> FromCsr(size_t rows, size_t cols,
                                       std::vector<size_t> row_offsets,
                                       std::vector<uint32_t> col_indices,
                                       std::vector<double> values);
 
-  /// Builds a dense row-major matrix (testing convenience).
+  /// Builds from a dense row-major matrix, dropping zeros (testing
+  /// convenience).
   static SparseMatrix FromDense(const std::vector<std::vector<double>>& dense);
 
   size_t rows() const { return rows_; }
@@ -83,10 +72,6 @@ class SparseMatrix {
   /// cols()`).
   void TransposeMultiplyInto(kernels::ConstSpan x, kernels::Span y) const;
 
-  /// y += alpha * A^T x (no reallocation; `y.size()` must equal `cols()`).
-  void TransposeMultiplyAccumulate(double alpha, const std::vector<double>& x,
-                                   std::vector<double>& y) const;
-
   /// Element lookup (O(row nnz)); 0.0 for structural zeros.
   double At(size_t row, size_t col) const;
 
@@ -111,37 +96,6 @@ class SparseMatrix {
   std::vector<size_t> row_offsets_;    // size rows_+1
   std::vector<uint32_t> col_indices_;  // size nnz
   std::vector<double> values_;         // size nnz
-};
-
-/// Incremental row-by-row CSR builder. Rows are appended in order; each
-/// row's entries may arrive unsorted and with duplicates (summed).
-class SparseMatrixBuilder {
- public:
-  /// `cols` fixes the column dimension up front.
-  explicit SparseMatrixBuilder(size_t cols) : cols_(cols) {}
-
-  /// Starts a fresh row; returns its index.
-  size_t BeginRow();
-
-  /// Adds `value` at `col` of the current row. Requires an open row.
-  Status Add(uint32_t col, double value);
-
-  /// Appends a complete row from parallel arrays.
-  Status AddRow(const std::vector<uint32_t>& cols,
-                const std::vector<double>& values);
-
-  /// Number of rows begun so far.
-  size_t rows() const { return open_rows_; }
-
-  /// Finalizes into an immutable CSR matrix.
-  Result<SparseMatrix> Build();
-
- private:
-  size_t cols_;
-  size_t open_rows_ = 0;
-  size_t current_row_ = 0;
-  bool row_open_ = false;
-  std::vector<Triplet> triplets_;
 };
 
 }  // namespace pme::linalg

@@ -23,12 +23,6 @@ std::vector<double> ClosedFormNoKnowledge(
     const anonymize::BucketizedTable& table,
     const constraints::TermIndex& index);
 
-/// Closed form restricted to one bucket: writes only the variables of
-/// bucket `b` into `p` (the rest untouched).
-void ClosedFormBucket(const anonymize::BucketizedTable& table,
-                      const constraints::TermIndex& index, uint32_t b,
-                      std::vector<double>* p);
-
 }  // namespace pme::maxent
 
 #endif  // PME_MAXENT_CLOSED_FORM_H_

@@ -67,81 +67,6 @@ Status CheckUnroutedRow(const constraints::LinearConstraint& c) {
   return Status::Ok();
 }
 
-/// Block column of full-space variable `var`, or -1 when the block does
-/// not hold it.
-int64_t BlockColumn(const BlockRows& block, uint32_t var) {
-  const auto& firsts = block.bucket_first_var;
-  auto it = std::upper_bound(firsts.begin(), firsts.end(), var);
-  if (it == firsts.begin()) return -1;
-  const size_t i = static_cast<size_t>(it - firsts.begin()) - 1;
-  const uint32_t end_col = i + 1 < firsts.size()
-                               ? block.bucket_first_col[i + 1]
-                               : static_cast<uint32_t>(block.cols.size());
-  const uint32_t col = block.bucket_first_col[i] + (var - firsts[i]);
-  return col < end_col ? static_cast<int64_t>(col) : -1;
-}
-
-/// One side (equality or inequality) of a block's subproblem.
-Status AssembleRows(
-    const BlockRows& block,
-    const std::vector<const constraints::LinearConstraint*>& rows,
-    linalg::SparseMatrix* matrix, std::vector<double>* rhs) {
-  std::vector<size_t> offsets;
-  offsets.reserve(rows.size() + 1);
-  offsets.push_back(0);
-  std::vector<uint32_t> cols;
-  std::vector<double> values;
-  std::vector<std::pair<uint32_t, double>> entries;
-  rhs->reserve(rows.size());
-  for (const constraints::LinearConstraint* c : rows) {
-    if (c->vars.size() != c->coefs.size()) {
-      return Status::InvalidArgument("constraint '" + c->label +
-                                     "': vars and coefs differ in size");
-    }
-    const bool negate = c->rel == knowledge::Relation::kGe;
-    entries.clear();
-    for (size_t i = 0; i < c->vars.size(); ++i) {
-      // Zero coefficients never reach the matrix (BuildProblem drops zero
-      // sums); skipping them first also keeps off-block zero entries out.
-      if (c->coefs[i] == 0.0) continue;
-      const int64_t col = BlockColumn(block, c->vars[i]);
-      if (col < 0) {
-        return Status::Internal("constraint '" + c->label +
-                                "' reaches outside its block");
-      }
-      entries.emplace_back(static_cast<uint32_t>(col),
-                           negate ? -c->coefs[i] : c->coefs[i]);
-    }
-    const auto by_col = [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    };
-    if (!std::is_sorted(entries.begin(), entries.end(), by_col)) {
-      std::stable_sort(entries.begin(), entries.end(), by_col);
-    }
-    // Duplicate columns summed in row order, zero sums dropped — the
-    // triplet assembly's canonical form.
-    for (size_t i = 0; i < entries.size();) {
-      const uint32_t col = entries[i].first;
-      double v = 0.0;
-      for (; i < entries.size() && entries[i].first == col; ++i) {
-        v += entries[i].second;
-      }
-      if (v != 0.0) {
-        cols.push_back(col);
-        values.push_back(v);
-      }
-    }
-    offsets.push_back(cols.size());
-    rhs->push_back(negate ? -c->rhs : c->rhs);
-  }
-  PME_ASSIGN_OR_RETURN(
-      *matrix, linalg::SparseMatrix::FromCsr(rows.size(), block.cols.size(),
-                                             std::move(offsets),
-                                             std::move(cols),
-                                             std::move(values)));
-  return Status::Ok();
-}
-
 /// The cache key of one block: its content digest plus the solve knobs
 /// that change the answer (tolerance, presolve). Two analyses asking for
 /// different precision must not serve each other's solutions.
@@ -355,13 +280,9 @@ Result<std::vector<BlockRows>> RouteBlocks(
 }
 
 Result<MaxEntProblem> AssembleBlock(const BlockRows& block) {
-  MaxEntProblem sub;
-  sub.num_vars = block.cols.size();
-  PME_RETURN_IF_ERROR(AssembleRows(block, block.eq_rows, &sub.eq,
-                                   &sub.eq_rhs));
-  PME_RETURN_IF_ERROR(AssembleRows(block, block.ineq_rows, &sub.ineq,
-                                   &sub.ineq_rhs));
-  return sub;
+  return AssembleProblem(block.eq_rows, block.ineq_rows,
+                         block.bucket_first_var, block.bucket_first_col,
+                         block.cols.size());
 }
 
 Result<SolverResult> SolveDecomposed(

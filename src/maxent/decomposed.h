@@ -108,10 +108,8 @@ Result<std::vector<BlockRows>> RouteBlocks(
     const constraints::TermIndex& index, const constraints::SystemView& rows,
     const constraints::ComponentAnalysis& analysis, bool signatures);
 
-/// The block's subproblem, assembled straight from its routed rows:
-/// equality rows then inequality rows in routed order (kGe negated into
-/// kLe form), each row's support mapped to block columns, sorted, with
-/// duplicate columns summed and zero sums dropped. Entry for entry what
+/// The block's subproblem, assembled straight from its routed rows by
+/// AssembleProblem over the block's bucket runs: entry for entry what
 /// BuildProblem on the whole system followed by SparseMatrix::Submatrix
 /// on the block's rows and columns produces, at the cost of the block's
 /// own nonzeros.

@@ -30,7 +30,27 @@ struct MaxEntProblem {
   size_t num_constraints() const { return eq.rows() + ineq.rows(); }
 };
 
-/// Converts an assembled constraint system into matrix form.
+/// Assembles constraint rows into a problem over `num_cols` columns, in
+/// canonical CSR: equality rows into `eq`, inequality rows into `ineq`,
+/// each in the given order. kGe rows are negated into kLe form. A row's
+/// entries are mapped to columns and sorted stably, so a column the row
+/// repeats is summed in row order; zero coefficients and zero sums are
+/// dropped, and an empty row stays. This is how every constraint matrix
+/// is made.
+///
+/// The column map is a list of runs: variables from run_first_var[i] on
+/// land on columns from run_first_col[i] on, up to the next run's first
+/// column (or `num_cols` for the last run). Both lists ascend. A nonzero
+/// entry whose variable no run places, or a row whose vars and coefs
+/// differ in length, yields kInvalidArgument.
+Result<MaxEntProblem> AssembleProblem(
+    const std::vector<const constraints::LinearConstraint*>& eq_rows,
+    const std::vector<const constraints::LinearConstraint*>& ineq_rows,
+    const std::vector<uint32_t>& run_first_var,
+    const std::vector<uint32_t>& run_first_col, size_t num_cols);
+
+/// The whole system in matrix form: AssembleProblem over the identity
+/// column map, rows split by relation in system order.
 Result<MaxEntProblem> BuildProblem(const constraints::ConstraintSystem& system);
 
 /// Structural presolve. Two reductions run to fixpoint:
@@ -45,7 +65,9 @@ Result<MaxEntProblem> BuildProblem(const constraints::ConstraintSystem& system);
 /// Detects infeasibility (negative pinned probability, or an emptied row
 /// with nonzero RHS). The reduced problem excludes satisfied rows and
 /// fixed variables; `Restore` maps a reduced solution back to the full
-/// variable space.
+/// variable space. Presolve works on one copy of the problem's CSR
+/// arrays, compacting each row in place; surviving rows and variables
+/// keep their order, so the reduced matrices stay canonical.
 struct PresolvedProblem {
   MaxEntProblem reduced;
   /// original var -> reduced var id, or -1 when the variable was fixed.

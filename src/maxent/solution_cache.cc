@@ -1,6 +1,5 @@
 #include "maxent/solution_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -9,7 +8,7 @@
 namespace pme::maxent {
 namespace {
 
-/// Process-wide cache.* metrics. The per-shard census fields stay the
+/// Process-wide cache.* metrics. The instance's census stays the
 /// per-instance source of truth for Stats(); the registry counters are
 /// the cross-cutting view the `stats` serve verb and --metrics-out dump.
 struct CacheMetrics {
@@ -39,63 +38,39 @@ CacheMetrics& GetCacheMetrics() {
 }  // namespace
 
 SolutionCache::SolutionCache(size_t byte_budget)
-    : byte_budget_(byte_budget),
-      // Each shard owns an equal slice of the budget, floored at one
-      // double so a tiny budget still admits (and immediately bounds)
-      // entries instead of dividing to zero.
-      shard_budget_doubles_(
-          std::max<size_t>(byte_budget / sizeof(double) / kNumShards, 1)) {}
+    : byte_budget_(byte_budget), budget_doubles_(byte_budget / sizeof(double)) {}
 
 std::shared_ptr<const CachedComponentSolution> SolutionCache::FindExact(
     const Hash128& exact_key) {
-  Shard& shard = ShardOf(exact_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(exact_key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(exact_key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
     GetCacheMetrics().misses->Add();
     return nullptr;
   }
   // Refresh the LRU position: a hit entry is the last to be evicted.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  ++shard.exact_hits;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  ++stats_.exact_hits;
   GetCacheMetrics().exact_hits->Add();
   return it->second.solution;
 }
 
 std::shared_ptr<const CachedComponentSolution> SolutionCache::FindWarm(
     const Hash128& vars_key) {
-  Hash128 exact_key;
-  {
-    Shard& shard = ShardOf(vars_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.warm_index.find(vars_key);
-    if (it == shard.warm_index.end()) return nullptr;
-    exact_key = it->second;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto warm = warm_index_.find(vars_key);
+  if (warm == warm_index_.end()) return nullptr;
+  auto it = entries_.find(warm->second);
+  if (it == entries_.end()) {
+    // The entry was evicted since the warm pointer was written.
+    warm_index_.erase(warm);
+    return nullptr;
   }
-  // The entry lives in the exact key's shard; it may have been evicted
-  // since the warm pointer was written — drop the stale pointer then.
-  std::shared_ptr<const CachedComponentSolution> found;
-  {
-    Shard& shard = ShardOf(exact_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(exact_key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      ++shard.warm_hits;
-      GetCacheMetrics().warm_hits->Add();
-      found = it->second.solution;
-    }
-  }
-  if (found == nullptr) {
-    Shard& shard = ShardOf(vars_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.warm_index.find(vars_key);
-    if (it != shard.warm_index.end() && it->second == exact_key) {
-      shard.warm_index.erase(it);
-    }
-  }
-  return found;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  ++stats_.warm_hits;
+  GetCacheMetrics().warm_hits->Add();
+  return it->second.solution;
 }
 
 void SolutionCache::Insert(const Hash128& exact_key, const Hash128& vars_key,
@@ -103,85 +78,63 @@ void SolutionCache::Insert(const Hash128& exact_key, const Hash128& vars_key,
   auto shared =
       std::make_shared<const CachedComponentSolution>(std::move(solution));
   const size_t doubles = shared->ResidentDoubles();
-  {
-    Shard& shard = ShardOf(exact_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(exact_key);
-    if (it != shard.entries.end()) {
-      // Replace in place (same key, refreshed content — e.g. a tighter
-      // re-solve of the same component).
-      const size_t replaced = it->second.solution->ResidentDoubles();
-      shard.resident_doubles -= replaced;
-      shard.resident_doubles += doubles;
-      GetCacheMetrics().resident_doubles->Add(
-          static_cast<int64_t>(doubles) - static_cast<int64_t>(replaced));
-      it->second.solution = std::move(shared);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    } else {
-      shard.lru.push_front(exact_key);
-      shard.entries.emplace(exact_key,
-                            Entry{std::move(shared), shard.lru.begin()});
-      shard.resident_doubles += doubles;
-      ++shard.insertions;
-      GetCacheMetrics().insertions->Add();
-      GetCacheMetrics().resident_doubles->Add(static_cast<int64_t>(doubles));
-    }
-    EvictLocked(shard, shard_budget_doubles_);
-    // Failpoint `cache_evict_race`: a deterministic stand-in for an
-    // eviction storm racing concurrent lookups — every entry of this
-    // shard (including the one just inserted) is thrown out, so warm
-    // pointers dangle and in-flight shared_ptr handles outlive their
-    // entries. Correctness must not depend on residency.
-    if (PME_FAILPOINT("cache_evict_race")) {
-      EvictLocked(shard, 0);
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(exact_key);
+  if (it != entries_.end()) {
+    // Replace in place (same key, refreshed content — e.g. a tighter
+    // re-solve of the same component).
+    const size_t replaced = it->second.solution->ResidentDoubles();
+    stats_.resident_doubles -= replaced;
+    stats_.resident_doubles += doubles;
+    GetCacheMetrics().resident_doubles->Add(static_cast<int64_t>(doubles) -
+                                            static_cast<int64_t>(replaced));
+    it->second.solution = std::move(shared);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  } else {
+    lru_.push_front(exact_key);
+    entries_.emplace(exact_key, Entry{std::move(shared), lru_.begin()});
+    stats_.resident_doubles += doubles;
+    ++stats_.insertions;
+    GetCacheMetrics().insertions->Add();
+    GetCacheMetrics().resident_doubles->Add(static_cast<int64_t>(doubles));
   }
-  {
-    Shard& shard = ShardOf(vars_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.warm_index[vars_key] = exact_key;
-  }
+  warm_index_[vars_key] = exact_key;
+  EvictLocked(budget_doubles_);
+  // Failpoint `cache_evict_race`: a deterministic stand-in for an
+  // eviction storm racing concurrent lookups — every entry (including
+  // the one just inserted) is thrown out, so warm pointers dangle and
+  // in-flight shared_ptr handles outlive their entries. Correctness must
+  // not depend on residency.
+  if (PME_FAILPOINT("cache_evict_race")) EvictLocked(0);
 }
 
-void SolutionCache::EvictLocked(Shard& shard, size_t budget_doubles) {
-  while (shard.resident_doubles > budget_doubles && !shard.lru.empty()) {
-    const Hash128 victim = shard.lru.back();
-    auto it = shard.entries.find(victim);
+void SolutionCache::EvictLocked(size_t budget_doubles) {
+  while (stats_.resident_doubles > budget_doubles && !lru_.empty()) {
+    auto it = entries_.find(lru_.back());
     const size_t evicted = it->second.solution->ResidentDoubles();
-    shard.resident_doubles -= evicted;
-    shard.entries.erase(it);
-    shard.lru.pop_back();
-    ++shard.evictions;
+    stats_.resident_doubles -= evicted;
+    entries_.erase(it);
+    lru_.pop_back();
+    ++stats_.evictions;
     GetCacheMetrics().evictions->Add();
     GetCacheMetrics().resident_doubles->Add(-static_cast<int64_t>(evicted));
   }
 }
 
 void SolutionCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    GetCacheMetrics().resident_doubles->Add(
-        -static_cast<int64_t>(shard.resident_doubles));
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.warm_index.clear();
-    shard.resident_doubles = 0;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  GetCacheMetrics().resident_doubles->Add(
+      -static_cast<int64_t>(stats_.resident_doubles));
+  entries_.clear();
+  lru_.clear();
+  warm_index_.clear();
+  stats_.resident_doubles = 0;
 }
 
 SolutionCacheStats SolutionCache::Stats() const {
-  SolutionCacheStats stats;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(
-        const_cast<Shard&>(shard).mutex);
-    stats.exact_hits += shard.exact_hits;
-    stats.warm_hits += shard.warm_hits;
-    stats.misses += shard.misses;
-    stats.insertions += shard.insertions;
-    stats.evictions += shard.evictions;
-    stats.entries += shard.entries.size();
-    stats.resident_doubles += shard.resident_doubles;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  SolutionCacheStats stats = stats_;
+  stats.entries = entries_.size();
   return stats;
 }
 

@@ -61,11 +61,11 @@ struct SolutionCacheStats {
   size_t resident_doubles = 0;  ///< currently resident payload doubles
 };
 
-/// Sharded, LRU-evicting map from component content digests to solved
-/// component solutions. Thread-safe: lookups and inserts may race from
-/// concurrent analyses (the `pme serve` scenario); entries are handed
-/// out as shared_ptr so eviction can never pull a solution out from
-/// under a reader.
+/// LRU-evicting map from component content digests to solved component
+/// solutions. Thread-safe behind one mutex: lookups and inserts may race
+/// from concurrent analyses (the `pme serve` scenario); entries are
+/// handed out as shared_ptr so eviction can never pull a solution out
+/// from under a reader.
 ///
 /// Two indexes:
 ///  - the exact index keys entries by the component's rows digest
@@ -74,9 +74,10 @@ struct SolutionCacheStats {
 ///    inserted exact key for that variable set (same component, edited
 ///    rows → warm-startable dual).
 ///
-/// Eviction is LRU by resident doubles against `byte_budget`, applied
-/// per shard (each shard owns an equal slice of the budget). Warm-index
-/// entries whose exact entry was evicted are dropped lazily on lookup.
+/// Eviction is LRU by resident doubles against the whole `byte_budget`,
+/// so any entry that fits the budget stays resident until newer use
+/// pushes it out. Warm-index entries whose exact entry was evicted are
+/// dropped lazily on lookup.
 ///
 /// Determinism: the census (hits/misses/evictions) is a function of the
 /// *order* of Lookup/Insert calls only. SolveDecomposed performs both in
@@ -106,53 +107,37 @@ class SolutionCache {
       const Hash128& vars_key);
 
   /// Inserts (or replaces) the entry for `exact_key` and points the warm
-  /// index for `vars_key` at it. Evicts LRU entries from the shard until
-  /// its budget slice holds the new resident size.
+  /// index for `vars_key` at it. Evicts LRU entries until the budget
+  /// holds the new resident size.
   void Insert(const Hash128& exact_key, const Hash128& vars_key,
               CachedComponentSolution solution);
 
   /// Drops every entry and warm-index pointer (the census is kept).
   void Clear();
 
-  /// Aggregated census across shards.
+  /// The census so far, with the current residency.
   SolutionCacheStats Stats() const;
 
   size_t byte_budget() const { return byte_budget_; }
 
  private:
-  static constexpr size_t kNumShards = 16;
-
   struct Entry {
     std::shared_ptr<const CachedComponentSolution> solution;
-    std::list<Hash128>::iterator lru_pos;  // into Shard::lru, MRU front
+    std::list<Hash128>::iterator lru_pos;  // into lru_, MRU front
   };
 
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<Hash128, Entry, Hash128Hasher> entries;
-    std::list<Hash128> lru;  // front = most recently used
-    size_t resident_doubles = 0;
-    // Census slices (aggregated by Stats()).
-    size_t exact_hits = 0;
-    size_t warm_hits = 0;
-    size_t misses = 0;
-    size_t insertions = 0;
-    size_t evictions = 0;
-    // vars digest -> exact key of the latest entry with that structure.
-    std::unordered_map<Hash128, Hash128, Hash128Hasher> warm_index;
-  };
+  /// Evicts LRU entries until resident doubles are within
+  /// `budget_doubles`. Caller holds mutex_.
+  void EvictLocked(size_t budget_doubles);
 
-  Shard& ShardOf(const Hash128& key) {
-    return shards_[key.hi % kNumShards];
-  }
-
-  /// Evicts LRU entries until the shard is within `budget_doubles`.
-  /// Caller holds the shard mutex.
-  void EvictLocked(Shard& shard, size_t budget_doubles);
-
-  size_t byte_budget_;
-  size_t shard_budget_doubles_;
-  Shard shards_[kNumShards];
+  const size_t byte_budget_;
+  const size_t budget_doubles_;
+  mutable std::mutex mutex_;
+  std::unordered_map<Hash128, Entry, Hash128Hasher> entries_;
+  std::list<Hash128> lru_;  // front = most recently used
+  // vars digest -> exact key of the latest entry with that structure.
+  std::unordered_map<Hash128, Hash128, Hash128Hasher> warm_index_;
+  SolutionCacheStats stats_;  // entries is filled in by Stats()
 };
 
 }  // namespace pme::maxent

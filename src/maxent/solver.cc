@@ -16,27 +16,26 @@ namespace {
 /// IsAcceptable's bound on an unconverged answer's worst violation.
 constexpr double kAcceptViolation = 1e-6;
 
-/// Stacks equality rows above inequality rows into a single matrix for
-/// the projected (sign-constrained) dual.
-Result<linalg::SparseMatrix> StackMatrices(const linalg::SparseMatrix& eq,
-                                           const linalg::SparseMatrix& ineq) {
-  std::vector<linalg::Triplet> triplets;
-  triplets.reserve(eq.nnz() + ineq.nnz());
-  auto append = [&triplets](const linalg::SparseMatrix& m, uint32_t row_base) {
-    const auto& offsets = m.row_offsets();
-    const auto& cols = m.col_indices();
-    const auto& values = m.values();
-    for (size_t r = 0; r < m.rows(); ++r) {
-      for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-        triplets.push_back(
-            {row_base + static_cast<uint32_t>(r), cols[k], values[k]});
-      }
+/// Equality rows above inequality rows in one matrix, for the projected
+/// (sign-constrained) dual: the two CSRs concatenated.
+Result<linalg::SparseMatrix> Stack(const MaxEntProblem& problem) {
+  const size_t nnz = problem.eq.nnz() + problem.ineq.nnz();
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> cols;
+  std::vector<double> values;
+  cols.reserve(nnz);
+  values.reserve(nnz);
+  for (const linalg::SparseMatrix* m : {&problem.eq, &problem.ineq}) {
+    const size_t base = cols.size();
+    for (size_t r = 0; r < m->rows(); ++r) {
+      offsets.push_back(base + m->row_offsets()[r + 1]);
     }
-  };
-  append(eq, 0);
-  append(ineq, static_cast<uint32_t>(eq.rows()));
-  return linalg::SparseMatrix::FromTriplets(eq.rows() + ineq.rows(),
-                                            eq.cols(), std::move(triplets));
+    cols.insert(cols.end(), m->col_indices().begin(), m->col_indices().end());
+    values.insert(values.end(), m->values().begin(), m->values().end());
+  }
+  return linalg::SparseMatrix::FromCsr(problem.num_constraints(),
+                                       problem.num_vars, std::move(offsets),
+                                       std::move(cols), std::move(values));
 }
 
 /// Worst violation of the *original* problem at full-space solution p.
@@ -168,8 +167,7 @@ Result<SolverResult> Solve(const MaxEntProblem& problem, SolverKind kind,
   if (reduced.num_vars > 0) {
     internal::DualOutcome outcome;
     if (reduced.has_inequalities()) {
-      PME_ASSIGN_OR_RETURN(auto stacked,
-                           StackMatrices(reduced.eq, reduced.ineq));
+      PME_ASSIGN_OR_RETURN(auto stacked, Stack(reduced));
       std::vector<double> rhs = reduced.eq_rhs;
       rhs.insert(rhs.end(), reduced.ineq_rhs.begin(), reduced.ineq_rhs.end());
       DualFunction dual(&stacked, rhs);

@@ -121,6 +121,27 @@ TEST(ComponentAnalysisTest, DisjointKnowledgeYieldsIndependentBlocks) {
   EXPECT_NE(analysis.ComponentOf(1), analysis.ComponentOf(2));
 }
 
+// Definition 5.6 counts a bucket relevant only where knowledge puts
+// weight on it: a zero coefficient neither couples its bucket nor joins
+// it to the row's other buckets.
+TEST(ComponentAnalysisTest, ZeroCoefficientsCoupleNothing) {
+  auto t = pme::testing::MakeFigure1Table();
+  auto index = TermIndex::Build(t);
+  auto system = InvariantSystem(t, index);
+  LinearConstraint row;
+  row.vars = {index.BucketRange(1).first, index.BucketRange(2).first};
+  row.coefs = {1.0, 0.0};
+  row.rhs = 0.01;
+  row.source = constraints::ConstraintSource::kBackground;
+  system.Add(row);
+  auto analysis = ComponentAnalysis::Build(index, system);
+
+  EXPECT_EQ(analysis.num_components(), 3u);
+  EXPECT_EQ(analysis.num_coupled(), 1u);
+  EXPECT_TRUE(analysis.components()[analysis.ComponentOf(1)].coupled);
+  EXPECT_FALSE(analysis.components()[analysis.ComponentOf(2)].coupled);
+}
+
 TEST(ComponentAnalysisTest, StatsReportComponentCensus) {
   auto t = pme::testing::MakeFigure1Table();
   auto index = TermIndex::Build(t);

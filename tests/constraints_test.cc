@@ -484,34 +484,6 @@ TEST(BkCompilerTest, RejectsOutOfRangeProbability) {
 
 // -------------------------------------------------------------- System
 
-TEST(ConstraintSystemTest, MatricesSplitByRelation) {
-  ConstraintSystem system(4);
-  LinearConstraint eq;
-  eq.vars = {0, 1};
-  eq.coefs = {1.0, 1.0};
-  eq.rhs = 0.5;
-  system.Add(eq);
-  LinearConstraint le;
-  le.vars = {2};
-  le.coefs = {1.0};
-  le.rel = Relation::kLe;
-  le.rhs = 0.3;
-  system.Add(le);
-  LinearConstraint ge;
-  ge.vars = {3};
-  ge.coefs = {1.0};
-  ge.rel = Relation::kGe;
-  ge.rhs = 0.1;
-  system.Add(ge);
-
-  auto m = system.ToMatrices().ValueOrDie();
-  EXPECT_EQ(m.eq.rows(), 1u);
-  EXPECT_EQ(m.ineq.rows(), 2u);
-  // kGe was negated into kLe form.
-  EXPECT_DOUBLE_EQ(m.ineq.At(1, 3), -1.0);
-  EXPECT_DOUBLE_EQ(m.ineq_rhs[1], -0.1);
-}
-
 TEST(ConstraintSystemTest, ViolationMeasures) {
   ConstraintSystem system(2);
   LinearConstraint c;
@@ -521,36 +493,6 @@ TEST(ConstraintSystemTest, ViolationMeasures) {
   system.Add(c);
   EXPECT_NEAR(system.MaxViolation({0.5, 0.5}), 0.0, 1e-15);
   EXPECT_NEAR(system.MaxViolation({0.5, 0.2}), 0.3, 1e-12);
-}
-
-TEST(ConstraintSystemTest, IrrelevantBucketAnalysis) {
-  // Section 5.5 / Definition 5.6: with P(s3 | q3) knowledge, buckets 1
-  // and 2 are relevant (q3 lives there), bucket 3 is irrelevant.
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(GenerateInvariants(t, index));
-  knowledge::KnowledgeBase kb;
-  kb.Add(knowledge::AbstractConditional(kQ3, {kS3}, 0.5));
-  auto compiled = CompileKnowledge(kb, t, index).ValueOrDie();
-  system.AddAll(std::move(compiled.constraints));
-
-  auto relevant = system.RelevantBuckets(index);
-  ASSERT_EQ(relevant.size(), 3u);
-  EXPECT_TRUE(relevant[0]);
-  EXPECT_TRUE(relevant[1]);
-  EXPECT_FALSE(relevant[2]);
-  EXPECT_EQ(system.CountBySource(ConstraintSource::kBackground), 1u);
-  EXPECT_EQ(system.CountBySource(ConstraintSource::kQiInvariant), 9u);
-}
-
-TEST(ConstraintSystemTest, NoKnowledgeMeansAllIrrelevant) {
-  auto t = pme::testing::MakeFigure1Table();
-  auto index = TermIndex::Build(t);
-  ConstraintSystem system(index.num_variables());
-  system.AddAll(GenerateInvariants(t, index));
-  auto relevant = system.RelevantBuckets(index);
-  for (bool r : relevant) EXPECT_FALSE(r);
 }
 
 }  // namespace

@@ -50,9 +50,7 @@ CachedComponentSolution MakeSolution(size_t n, double fill) {
   return s;
 }
 
-// Keys with hi ≡ 0 (mod 16) all land in shard 0, so one shard's LRU and
-// budget can be exercised deterministically.
-Hash128 Shard0Key(uint64_t id) { return Hash128{id * 16, id}; }
+Hash128 Key(uint64_t id) { return Hash128{id, id}; }
 
 TEST(SolutionCacheTest, ExactRoundTrip) {
   SolutionCache cache;
@@ -86,36 +84,50 @@ TEST(SolutionCacheTest, WarmLookupFindsLatestWithSameStructure) {
 }
 
 TEST(SolutionCacheTest, LruEvictionHonorsBudget) {
-  // 100 doubles per shard: two 60-double entries cannot coexist.
-  SolutionCache cache(16 * 100 * sizeof(double));
-  cache.Insert(Shard0Key(1), Hash128{0, 101}, MakeSolution(60, 1.0));
-  cache.Insert(Shard0Key(2), Hash128{0, 102}, MakeSolution(60, 2.0));
-  EXPECT_EQ(cache.FindExact(Shard0Key(1)), nullptr);  // LRU, evicted
-  EXPECT_NE(cache.FindExact(Shard0Key(2)), nullptr);
+  // 100 doubles: two 60-double entries cannot coexist.
+  SolutionCache cache(100 * sizeof(double));
+  cache.Insert(Key(1), Hash128{0, 101}, MakeSolution(60, 1.0));
+  cache.Insert(Key(2), Hash128{0, 102}, MakeSolution(60, 2.0));
+  EXPECT_EQ(cache.FindExact(Key(1)), nullptr);  // LRU, evicted
+  EXPECT_NE(cache.FindExact(Key(2)), nullptr);
   const auto stats = cache.Stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_LE(stats.resident_doubles, 100u);
 }
 
+// The budget covers the whole cache: an entry an eighth of it stays
+// resident, and so do eight of them.
+TEST(SolutionCacheTest, EntriesUpToTheWholeBudgetStayResident) {
+  SolutionCache cache(16000 * sizeof(double));
+  for (uint64_t id = 1; id <= 8; ++id) {
+    cache.Insert(Key(id), Hash128{0, 100 + id}, MakeSolution(2000, 1.0));
+    EXPECT_NE(cache.FindExact(Key(id)), nullptr) << id;
+  }
+  const auto stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 8u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.resident_doubles, 16000u);
+}
+
 TEST(SolutionCacheTest, ExactHitRefreshesLruPosition) {
-  SolutionCache cache(16 * 100 * sizeof(double));
-  cache.Insert(Shard0Key(1), Hash128{0, 101}, MakeSolution(40, 1.0));
-  cache.Insert(Shard0Key(2), Hash128{0, 102}, MakeSolution(40, 2.0));
+  SolutionCache cache(100 * sizeof(double));
+  cache.Insert(Key(1), Hash128{0, 101}, MakeSolution(40, 1.0));
+  cache.Insert(Key(2), Hash128{0, 102}, MakeSolution(40, 2.0));
   // Touch entry 1 so entry 2 becomes least recently used...
-  EXPECT_NE(cache.FindExact(Shard0Key(1)), nullptr);
-  // ...then overflow the shard: entry 2 must go, entry 1 must stay.
-  cache.Insert(Shard0Key(3), Hash128{0, 103}, MakeSolution(40, 3.0));
-  EXPECT_NE(cache.FindExact(Shard0Key(1)), nullptr);
-  EXPECT_EQ(cache.FindExact(Shard0Key(2)), nullptr);
-  EXPECT_NE(cache.FindExact(Shard0Key(3)), nullptr);
+  EXPECT_NE(cache.FindExact(Key(1)), nullptr);
+  // ...then overflow the budget: entry 2 must go, entry 1 must stay.
+  cache.Insert(Key(3), Hash128{0, 103}, MakeSolution(40, 3.0));
+  EXPECT_NE(cache.FindExact(Key(1)), nullptr);
+  EXPECT_EQ(cache.FindExact(Key(2)), nullptr);
+  EXPECT_NE(cache.FindExact(Key(3)), nullptr);
 }
 
 TEST(SolutionCacheTest, WarmIndexDropsDanglingPointerAfterEviction) {
-  SolutionCache cache(16 * 100 * sizeof(double));
+  SolutionCache cache(100 * sizeof(double));
   const Hash128 vars{0, 7};
-  cache.Insert(Shard0Key(1), vars, MakeSolution(60, 1.0));
-  cache.Insert(Shard0Key(2), Hash128{0, 8}, MakeSolution(60, 2.0));
+  cache.Insert(Key(1), vars, MakeSolution(60, 1.0));
+  cache.Insert(Key(2), Hash128{0, 8}, MakeSolution(60, 2.0));
   // Entry 1 was evicted; its warm pointer must resolve to null (and be
   // dropped) rather than to freed memory.
   EXPECT_EQ(cache.FindWarm(vars), nullptr);

@@ -187,6 +187,109 @@ TEST(DualFunctionTest, PrimalIsExpOfDualCombination) {
   EXPECT_NEAR(p[1], std::exp(1.0), 1e-12);
 }
 
+// ---------------------------------------------------------- BuildProblem
+
+// The CSR arrays a row list should assemble to, built densely: each row
+// accumulated into a dense vector in row order (kGe rows negated), then
+// read back left to right keeping the nonzeros.
+struct DenseReference {
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> cols;
+  std::vector<double> values;
+  std::vector<double> rhs;
+
+  void AddRow(const LinearConstraint& c, size_t num_vars) {
+    const double sign = c.rel == Relation::kGe ? -1.0 : 1.0;
+    std::vector<double> dense(num_vars, 0.0);
+    for (size_t i = 0; i < c.vars.size(); ++i) {
+      dense[c.vars[i]] += sign * c.coefs[i];
+    }
+    for (uint32_t v = 0; v < num_vars; ++v) {
+      if (dense[v] == 0.0) continue;
+      cols.push_back(v);
+      values.push_back(dense[v]);
+    }
+    offsets.push_back(cols.size());
+    rhs.push_back(sign * c.rhs);
+  }
+
+  void Expect(const linalg::SparseMatrix& m,
+              const std::vector<double>& got_rhs) const {
+    EXPECT_EQ(m.rows(), rhs.size());
+    EXPECT_EQ(m.row_offsets(), offsets);
+    EXPECT_EQ(m.col_indices(), cols);
+    EXPECT_EQ(m.values(), values);
+    EXPECT_EQ(got_rhs, rhs);
+  }
+};
+
+// Random systems of every relation whose rows repeat variables two and
+// three times, carry explicit zero coefficients, sum to zero, or are
+// empty. Coefficients are multiples of 1/8, so every sum is exact in any
+// order and the reference needs no tolerance.
+TEST(BuildProblemTest, MatchesADenseReferenceOnRandomSystems) {
+  const Relation kRelations[] = {Relation::kEq, Relation::kLe, Relation::kGe};
+  size_t repeats = 0, zeros = 0, empties = 0, negated = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Prng prng(seed);
+    const size_t num_vars = 1 + prng.NextBounded(12);
+    ConstraintSystem system(num_vars);
+    DenseReference eq, ineq;
+    const size_t num_rows = prng.NextBounded(10);
+    for (size_t r = 0; r < num_rows; ++r) {
+      LinearConstraint c;
+      c.rel = kRelations[prng.NextBounded(3)];
+      c.rhs = static_cast<double>(prng.NextBounded(17)) / 8.0 - 1.0;
+      const size_t len = prng.NextBounded(7);
+      for (size_t i = 0; i < len; ++i) {
+        const uint32_t var = static_cast<uint32_t>(prng.NextBounded(num_vars));
+        // One draw in four repeats the variable once or twice more.
+        const size_t copies = prng.NextBounded(4) == 0 ? 2 + prng.NextBounded(2)
+                                                       : 1;
+        for (size_t k = 0; k < copies; ++k) {
+          const double coef =
+              static_cast<double>(prng.NextBounded(17)) / 8.0 - 1.0;
+          c.vars.push_back(var);
+          c.coefs.push_back(coef);
+          zeros += coef == 0.0;
+        }
+        repeats += copies > 1;
+      }
+      empties += len == 0;
+      negated += c.rel == Relation::kGe;
+      (c.rel == Relation::kEq ? eq : ineq).AddRow(c, num_vars);
+      system.Add(std::move(c));
+    }
+    const auto problem = BuildProblem(system).ValueOrDie();
+    EXPECT_EQ(problem.num_vars, num_vars);
+    EXPECT_EQ(problem.eq.cols(), num_vars);
+    EXPECT_EQ(problem.ineq.cols(), num_vars);
+    eq.Expect(problem.eq, problem.eq_rhs);
+    ineq.Expect(problem.ineq, problem.ineq_rhs);
+  }
+  // The seeds reach every case the test is about.
+  EXPECT_GT(repeats, 20u);
+  EXPECT_GT(zeros, 5u);
+  EXPECT_GT(empties, 5u);
+  EXPECT_GT(negated, 20u);
+}
+
+TEST(BuildProblemTest, RejectsOutOfRangeVariablesAndRaggedRows) {
+  ConstraintSystem out_of_range(3);
+  LinearConstraint c = Eq({0, 3}, 1.0);
+  out_of_range.Add(c);
+  EXPECT_EQ(BuildProblem(out_of_range).status().code(),
+            StatusCode::kInvalidArgument);
+
+  ConstraintSystem ragged(3);
+  c = Eq({0, 1}, 1.0);
+  c.coefs.pop_back();
+  ragged.Add(c);
+  EXPECT_EQ(BuildProblem(ragged).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // -------------------------------------------------------------- Presolve
 
 TEST(PresolveTest, ZeroForcingEliminatesVariables) {
